@@ -59,13 +59,13 @@ from .spectra import (
     secular_matrix,
     solve_interval_spectrum,
     solve_line_bound_states,
+    solve_spectrum,
 )
 from .classify import (
     SuperchargeSpec,
     SusyClassification,
     admits_susy_at_point,
     annihilates,
-    build_supercharge,
     classify_interval,
     classify_line,
     classify_system,
@@ -75,7 +75,6 @@ from .classify import (
 from .verify import (
     CheckResult,
     VerificationReport,
-    apply_supercharge,
     boundary_form,
     check_algebra,
     check_degeneracy_pairing,

@@ -161,17 +161,6 @@ def admits_susy_at_point(m) -> tuple[float, np.ndarray] | None:
     return float(np.angle(d[0, 0]) % _TWO_PI), v
 
 
-def build_supercharge(
-    alpha: float,
-    c: float,
-    theta: float,
-    lam: float = 1.0,
-    L0: float = 1.0,
-    conjugator: np.ndarray | None = None,
-) -> SuperchargeSpec:
-    return SuperchargeSpec(alpha, c, theta, lam, L0, conjugator)
-
-
 def point_condition_residual(m, charge: SuperchargeSpec) -> float:
     """How far a charge is from preserving the domain of boundary matrix m.
 
@@ -212,11 +201,13 @@ def _is_diagonal(m: np.ndarray, tol: float = 1e-10) -> bool:
     return max(abs(m[0, 1]), abs(m[1, 0])) <= tol
 
 
-def _goodness(spec: SystemSpec, charges: tuple) -> str:
-    if spec.geometry.is_interval:
-        spectrum = spectra.solve_interval_spectrum(spec, n_levels=2)
-    else:
-        spectrum = spectra.solve_line_bound_states(spec)
+def _goodness(
+    spec: SystemSpec, charges: tuple, spectrum: spectra.Spectrum | None
+) -> str:
+    """Good iff the ground level is simple and every charge annihilates it;
+    only the ground level is read, so without a spectrum one level is solved."""
+    if spectrum is None:
+        spectrum = spectra.solve_spectrum(spec, n_levels=1)
     ground = spectrum.ground
     if ground is None:
         return "NotApplicable"
@@ -227,9 +218,12 @@ def _goodness(spec: SystemSpec, charges: tuple) -> str:
     return "Broken"
 
 
-def classify_line(spec: SystemSpec) -> SusyClassification:
+def classify_line(
+    spec: SystemSpec, spectrum: spectra.Spectrum | None = None
+) -> SusyClassification:
     """N2 with an alpha-family of charges iff U has the {-1, e^{i theta}}
-    eigenvalue pair; goodness is decided on the lowest bound state."""
+    eigenvalue pair; goodness is decided on the lowest bound state of
+    spectrum, which is solved when not given."""
     if spec.geometry.is_interval:
         raise GeometryMismatchError("classify_interval handles interval systems")
     found = admits_susy_at_point(spec.U)
@@ -240,14 +234,14 @@ def classify_line(spec: SystemSpec) -> SusyClassification:
     theta, v_raw = found
     v = _gauge_fixed(v_raw)
     pair = (
-        build_supercharge(0.0, 0.0, theta, spec.lam, spec.L0, v),
-        build_supercharge(np.pi / 2.0, 0.0, theta, spec.lam, spec.L0, v),
+        SuperchargeSpec(0.0, 0.0, theta, spec.lam, spec.L0, v),
+        SuperchargeSpec(np.pi / 2.0, 0.0, theta, spec.lam, spec.L0, v),
     )
     return SusyClassification(
         "N2",
         pair,
         pair[0].shift,
-        _goodness(spec, pair),
+        _goodness(spec, pair, spectrum),
         ("alpha is free; the canonical alpha = 0, pi/2 pair is stored",),
     )
 
@@ -279,15 +273,15 @@ def _interval_degree(spec: SystemSpec, allow_reflection: bool):
         and circular_distance(theta, -theta_l) < _PHASE_TOL
     ):
         pair = (
-            build_supercharge(0.0, 0.0, theta, spec.lam, spec.L0, v),
-            build_supercharge(np.pi / 2.0, 0.0, theta, spec.lam, spec.L0, v),
+            SuperchargeSpec(0.0, 0.0, theta, spec.lam, spec.L0, v),
+            SuperchargeSpec(np.pi / 2.0, 0.0, theta, spec.lam, spec.L0, v),
         )
         return "N2", pair, ("alpha is free; the canonical alpha = 0, pi/2 pair is stored",)
     if min(mu, np.pi - mu) >= _PHASE_TOL:
         inv0 = inverse_robin_length(theta, spec.L0)
         invl = inverse_robin_length(theta_l, spec.L0)
         c = spec.lam * (invl - inv0 * np.cos(mu)) / np.sin(mu)
-        charge = build_supercharge(np.pi / 2.0, c, theta, spec.lam, spec.L0, v)
+        charge = SuperchargeSpec(np.pi / 2.0, c, theta, spec.lam, spec.L0, v)
         return (
             "N1",
             (charge,),
@@ -296,14 +290,17 @@ def _interval_degree(spec: SystemSpec, allow_reflection: bool):
     return "none", (), ("frame tilt and boundary phases are incompatible",)
 
 
-def classify_interval(spec: SystemSpec) -> SusyClassification:
+def classify_interval(
+    spec: SystemSpec, spectrum: spectra.Spectrum | None = None
+) -> SusyClassification:
     """Full interval classification: N2 / N1 / none plus goodness.
 
     Both boundary matrices must admit a charge individually; the relative
     Euler tilt mu between their frames then selects the branch.  mu in
     {0, pi} with matching phases keeps the whole alpha-family (N2); any
     other tilt fixes alpha = pi/2 and the sigma3 component c, leaving a
-    single charge (N1).
+    single charge (N1).  Goodness is read off the ground level of
+    spectrum, which is solved when not given.
     """
     if not spec.geometry.is_interval:
         raise GeometryMismatchError("classify_line handles line systems")
@@ -311,14 +308,16 @@ def classify_interval(spec: SystemSpec) -> SusyClassification:
     if degree == "none":
         return SusyClassification("none", (), 0.0, "NotApplicable", notes)
     return SusyClassification(
-        degree, charges, charges[0].shift, _goodness(spec, charges), notes
+        degree, charges, charges[0].shift, _goodness(spec, charges, spectrum), notes
     )
 
 
-def classify_system(spec: SystemSpec) -> SusyClassification:
+def classify_system(
+    spec: SystemSpec, spectrum: spectra.Spectrum | None = None
+) -> SusyClassification:
     if spec.geometry.is_interval:
-        return classify_interval(spec)
-    return classify_line(spec)
+        return classify_interval(spec, spectrum)
+    return classify_line(spec, spectrum)
 
 
 def half_parity_system(spec: SystemSpec) -> SystemSpec:

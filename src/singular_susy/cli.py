@@ -10,7 +10,6 @@ verification failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import os
 import sys
@@ -101,7 +100,16 @@ def _parse_dl(node) -> np.ndarray:
 
 
 def load_system(text: str) -> SystemSpec:
-    """Build a SystemSpec from its JSON description.
+    """Build a SystemSpec from its JSON description (see system_from_config)."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError("invalid JSON: %s" % exc) from exc
+    return system_from_config(raw)
+
+
+def system_from_config(raw) -> SystemSpec:
+    """Build a SystemSpec from a parsed JSON config.
 
     Schema:
       geometry: {"type": "line"} or {"type": "interval", "l": length}
@@ -112,10 +120,6 @@ def load_system(text: str) -> SystemSpec:
           required for intervals, forbidden on the line
       lambda, L0: positive floats, both default 1.0
     """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError("invalid JSON: %s" % exc) from exc
     if not isinstance(raw, dict):
         raise ParseError("top level: object required")
     geo = raw.get("geometry")
@@ -185,12 +189,6 @@ def _charge_dict(q) -> dict:
     }
 
 
-def _solve(spec: SystemSpec, n_levels: int) -> spectra.Spectrum:
-    if spec.geometry.is_interval:
-        return spectra.solve_interval_spectrum(spec, n_levels=n_levels)
-    return spectra.solve_line_bound_states(spec)
-
-
 def _level_rows(spectrum: spectra.Spectrum, n_levels: int) -> list:
     rows = []
     for i, lv in enumerate(spectrum.levels[:n_levels]):
@@ -219,7 +217,7 @@ def _render_classify(config: RunConfig) -> tuple[str, int]:
 
 
 def _render_spectrum(config: RunConfig) -> tuple[str, int]:
-    spectrum = _solve(config.system, config.n_levels)
+    spectrum = spectra.solve_spectrum(config.system, config.n_levels)
     rows = _level_rows(spectrum, config.n_levels)
     if config.fmt == "json":
         payload = {
@@ -262,24 +260,18 @@ def _scan_configs(config: RunConfig):
         dl_node = raw.get("Dl")
         if not isinstance(dl_node, dict) or "theta_l" not in dl_node:
             raise ParseError("scan: theta_l-form Dl required")
-    values = np.linspace(scan["lo"], scan["hi"], scan["steps"])
-    for value in values:
-        node = copy.deepcopy(raw)
-        if param == "theta":
-            node["U"]["theta"] = float(value)
-            if interval:
-                node["Dl"]["theta_l"] = float(value)
-        elif param == "theta_l":
-            node["Dl"]["theta_l"] = float(value)
-        elif param == "mu":
-            node["U"]["mu"] = float(value)
-        else:  # L
-            L0 = node.get("L0", 1.0)
-            t = theta_for_scale(float(value), L0)
-            node["U"]["theta"] = t
-            if interval:
-                node["Dl"]["theta_l"] = t
-        yield float(value), node
+    for value in np.linspace(scan["lo"], scan["hi"], scan["steps"]).tolist():
+        angle = theta_for_scale(value, raw.get("L0", 1.0)) if param == "L" else value
+        # shallow copy: the sweep replaces the U and Dl nodes it sets, so raw
+        # and its nested nodes are never written to
+        node = dict(raw)
+        if param == "mu":
+            node["U"] = dict(u_node, mu=value)
+        elif param != "theta_l":
+            node["U"] = dict(u_node, theta=angle)
+        if interval and param != "mu":
+            node["Dl"] = dict(raw["Dl"], theta_l=angle)
+        yield value, node
 
 
 def _render_scan(config: RunConfig) -> tuple[str, int]:
@@ -287,9 +279,9 @@ def _render_scan(config: RunConfig) -> tuple[str, int]:
     rows = []
     for value, node in _scan_configs(config):
         try:
-            spec = load_system(json.dumps(node))
-            cls = classify_system(spec)
-            spectrum = _solve(spec, 1)
+            spec = system_from_config(node)
+            spectrum = spectra.solve_spectrum(spec, 1)
+            cls = classify_system(spec, spectrum)
             ground = spectrum.ground.energy if spectrum.ground else None
             rows.append((value, cls.degree, cls.shift, ground, cls.goodness))
         except SingularSusyError:

@@ -436,6 +436,13 @@ def solve_interval_spectrum(
     return Spectrum(tuple(levels), window, report)
 
 
+def solve_spectrum(spec: SystemSpec, n_levels: int = 10) -> Spectrum:
+    """The lowest n_levels interval levels, or every bound state on the line."""
+    if spec.geometry.is_interval:
+        return solve_interval_spectrum(spec, n_levels=n_levels)
+    return solve_line_bound_states(spec)
+
+
 def solve_line_bound_states(spec: SystemSpec) -> Spectrum:
     """All bound states on the line: decaying solutions e^{-kappa x}.
 

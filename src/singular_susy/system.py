@@ -359,7 +359,7 @@ def normalize(wf: WaveFunction) -> WaveFunction:
     return replace(wf, coeffs=wf.coeffs / n)
 
 
-def half_parity(wf: WaveFunction, l: float | None = None) -> WaveFunction:
+def half_parity(wf: WaveFunction) -> WaveFunction:
     """Reflect the upper component: (psi_+(x), psi_-(x)) -> (psi_+(l-x), psi_-(x)).
 
     The reflected component is re-expanded in the same sector basis, so the
@@ -368,8 +368,6 @@ def half_parity(wf: WaveFunction, l: float | None = None) -> WaveFunction:
     """
     if not wf.geometry.is_interval:
         raise GeometryMismatchError("half parity is defined on an interval")
-    if l is not None and abs(l - wf.geometry.l) > 1e-12 * max(1.0, wf.geometry.l):
-        raise ValueError("l disagrees with the wavefunction's geometry")
     length = wf.geometry.l
     q = wf.wavenumber
     if wf.sector == "positive":

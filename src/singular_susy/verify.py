@@ -73,10 +73,6 @@ class VerificationReport:
         }
 
 
-def apply_supercharge(charge: SuperchargeSpec, wf: WaveFunction) -> WaveFunction:
-    return charge.apply(wf)
-
-
 def check_domain_preservation(
     spec: SystemSpec, charge: SuperchargeSpec, wf: WaveFunction, tol: float = 1e-8
 ) -> CheckResult:
@@ -307,12 +303,10 @@ def _witten_details(w: np.ndarray | None) -> str:
 def run_verification(
     spec: SystemSpec, n_levels: int = 8, tol: float = 1e-8
 ) -> VerificationReport:
-    """Classify, solve, and run the whole battery of checks."""
-    classification = classify_system(spec)
-    if spec.geometry.is_interval:
-        spectrum = spectra.solve_interval_spectrum(spec, n_levels=n_levels)
-    else:
-        spectrum = spectra.solve_line_bound_states(spec)
+    """Solve once, classify on that spectrum, and run the whole battery of
+    checks."""
+    spectrum = spectra.solve_spectrum(spec, n_levels)
+    classification = classify_system(spec, spectrum)
     checks = [
         CheckResult(
             "classification",

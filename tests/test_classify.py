@@ -8,12 +8,12 @@ from singular_susy import (
     GeometryMismatchError,
     NotDiagonalError,
     SIGMA3,
+    SuperchargeSpec,
     SystemSpec,
     ThetaPiError,
     WaveFunction,
     admits_susy_at_point,
     annihilates,
-    build_supercharge,
     classify_interval,
     classify_line,
     classify_system,
@@ -49,14 +49,14 @@ def test_admits_susy_at_point():
 
 
 def test_build_supercharge_validation():
-    q = build_supercharge(0.3, 1.5, 0.8, 1.0, 1.0)
+    q = SuperchargeSpec(0.3, 1.5, 0.8, 1.0, 1.0)
     assert abs(q.shift - (np.tan(0.4) ** 2 + 1.5**2)) < 1e-12
     with pytest.raises(ThetaPiError):
-        build_supercharge(0.0, 0.0, np.pi, 1.0, 1.0)
+        SuperchargeSpec(0.0, 0.0, np.pi, 1.0, 1.0)
 
 
 def test_charge_vectors_orthonormal():
-    q = build_supercharge(0.7, -0.4, 1.1, 2.0, 0.5)
+    q = SuperchargeSpec(0.7, -0.4, 1.1, 2.0, 0.5)
     assert abs(np.dot(q.a_vec, q.a_vec) - 1.0) < 1e-12
     assert abs(np.dot(q.a_vec, q.b_vec)) < 1e-12
 

@@ -5,7 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from singular_susy import Geometry, ParseError, cli, robin_matrix, su2_from_euler
+from singular_susy import (
+    Geometry,
+    ParseError,
+    SystemSpec,
+    classify_system,
+    cli,
+    robin_matrix,
+    solve_interval_spectrum,
+    su2_from_euler,
+)
 from singular_susy.cli import load_system, system_to_config
 
 
@@ -153,6 +162,34 @@ def test_scan_json_rows(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert [row["value"] for row in payload] == pytest.approx([0.4, 1.2, 2.0])
     assert all(set(row) == {"param", "value", "degree", "shift", "ground_energy", "goodness"} for row in payload)
+
+
+def test_scan_error_row(tmp_path, capsys):
+    """theta = pi cannot build a system: that point becomes an error row
+    and the sweep goes on."""
+    path = _write(tmp_path, MATCHED)
+    rc = cli.main(["scan", "--config", path, "--scan", "theta:0.5:3.141592653589793:2", "--format", "json"])
+    assert rc == 0
+    good, bad = json.loads(capsys.readouterr().out)
+    spec = SystemSpec(Geometry.interval(1.0), robin_matrix(0.5), robin_matrix(0.5))
+    cls = classify_system(spec)
+    ground = solve_interval_spectrum(spec, n_levels=1).ground.energy
+    assert good == {
+        "param": "theta",
+        "value": 0.5,
+        "degree": cls.degree,
+        "shift": cls.shift,
+        "ground_energy": ground,
+        "goodness": cls.goodness,
+    }
+    assert bad == {
+        "param": "theta",
+        "value": np.pi,
+        "degree": "error",
+        "shift": None,
+        "ground_energy": None,
+        "goodness": "error",
+    }
 
 
 def test_usage_errors_exit_two(tmp_path):

@@ -11,7 +11,6 @@ from singular_susy import (
     SystemSpec,
     WaveFunction,
     annihilates,
-    apply_supercharge,
     boundary_form,
     check_algebra,
     check_degeneracy_pairing,
@@ -47,7 +46,7 @@ def test_apply_supercharge_known_image():
     cls = classify_system(spec)
     q = next(c for c in cls.charges if np.allclose(c.kinetic_matrix, SIGMA1))
     wf = WaveFunction(spec.geometry, "negative", 1.0, np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex), 1.0)
-    img = apply_supercharge(q, wf)
+    img = q.apply(wf)
     want = np.array([[-1j, 1j], [0.0, 0.0]]) / np.sqrt(2.0)
     assert np.allclose(img.coeffs, want, atol=1e-14)
 
