@@ -52,10 +52,8 @@ from .system import (
     wf_inner,
 )
 from .spectra import (
-    DecoupledRoots,
     Level,
     Spectrum,
-    oracle_decoupled_roots,
     secular_matrix,
     solve_interval_spectrum,
     solve_line_bound_states,

@@ -121,7 +121,7 @@ class SuperchargeSpec:
         if self.reflected:
             plain = replace(self, reflected=False)
             return half_parity(plain.apply(half_parity(wf)))
-        dcoeffs = wf.coeffs @ derivative_rep(wf).T
+        dcoeffs = wf.coeffs @ derivative_rep(wf.geometry, wf.sector, wf.wavenumber).T
         new = (
             -1j * self.lam * (self.kinetic_matrix @ dcoeffs)
             + self.shift_matrix @ wf.coeffs

@@ -11,9 +11,6 @@ caught as dips of the magnitude and refined by golden section; the null
 space of the column-rescaled matrix then yields the eigenstates and the
 multiplicity.  On the line the matching matrix is 2x2 and its determinant
 is an exact quadratic in kappa, solved directly.
-
-A scalar bisection oracle for decoupled (diagonal) systems lives here too,
-so the matrix solver can be validated against an independent method.
 """
 
 from __future__ import annotations
@@ -26,8 +23,10 @@ from .errors import GeometryMismatchError
 from .system import (
     SystemSpec,
     WaveFunction,
+    _basis_values,
     boundary_data,
     connection_residual,
+    derivative_rep,
     l2_norm,
     normalize,
     wall_residual,
@@ -72,30 +71,25 @@ class Spectrum:
         return [lv.energy for lv in self.levels]
 
 
-def _template(spec: SystemSpec, sector: str, q: float) -> WaveFunction:
-    # coeffs = I puts basis function j alone into component j, so boundary
-    # data of this state lists the per-basis endpoint values directly.
-    return WaveFunction(spec.geometry, sector, q, np.eye(2), spec.lam)
-
-
 def _interval_matrix(
     spec: SystemSpec, sector: str, q: float, magnitudes: bool = False
 ) -> np.ndarray:
-    # magnitudes=True sums |term| instead of term: a cancellation-free size
-    # reference for deciding when a column of the true matrix has vanished.
-    wf = _template(spec, sector, q)
+    # Each boundary with matrix M gives the row pair (M - I) (x) v +
+    # i L0 (M + I) (x) d from the basis values v and derivatives d at that
+    # end.  magnitudes=True sums |term| instead of term: a cancellation-free
+    # size reference for deciding when a column of the true matrix has vanished.
+    # Zero-padded blocks and a matmul, not np.kron: kron gives the same values
+    # but other signed zeros, and LAPACK's Householder steps take their sign
+    # from the leading entry, zeros included.
     eye = np.eye(2, dtype=complex)
+    dmap = derivative_rep(spec.geometry, sector, q).T
     m = np.zeros((4, 4), dtype=complex)
-    for mat, b, row in (
-        (spec.U, boundary_data(wf, "origin"), 0),
-        (spec.Dl, boundary_data(wf, "wall"), 2),
-    ):
-        vals = np.array(
-            [[b.psi[0], b.psi[1], 0, 0], [0, 0, b.psi[0], b.psi[1]]], dtype=complex
-        )
-        ders = np.array(
-            [[b.dpsi[0], b.dpsi[1], 0, 0], [0, 0, b.dpsi[0], b.dpsi[1]]], dtype=complex
-        )
+    for mat, x, row in ((spec.U, 0.0, 0), (spec.Dl, spec.geometry.l, 2)):
+        v = _basis_values(spec.geometry, sector, q, x)
+        vals = np.zeros((2, 4), dtype=complex)
+        ders = np.zeros((2, 4), dtype=complex)
+        vals[0, :2] = vals[1, 2:] = v
+        ders[0, :2] = ders[1, 2:] = dmap @ v
         if magnitudes:
             m[row : row + 2] = np.abs(mat - eye) @ np.abs(vals) + spec.L0 * np.abs(
                 mat + eye
@@ -162,10 +156,6 @@ def _row_normalized_det(m: np.ndarray) -> complex:
     if np.any(norms == 0.0):
         return 0.0j
     return complex(np.linalg.det(m / norms[:, None]))
-
-
-def _det_objective(m: np.ndarray) -> float:
-    return abs(_row_normalized_det(m))
 
 
 def _golden_min(f, a: float, b: float, xtol: float):
@@ -346,14 +336,12 @@ def _kappa_window(spec: SystemSpec) -> float:
     return min(window, 300.0 / l)  # keep cosh(kappa l) and its square finite
 
 
-def solve_interval_spectrum(
-    spec: SystemSpec, n_levels: int = 10, k_step: float | None = None
-) -> Spectrum:
+def solve_interval_spectrum(spec: SystemSpec, n_levels: int = 10) -> Spectrum:
     """Lowest discrete levels of the interval system, all sectors.
 
     Scans the negative sector over a kappa window sized from the boundary
     Robin lengths, tests E = 0 exactly on the polynomial basis, and walks a
-    k grid (step <= pi/(8 l)) for positive levels, extending the window
+    k grid of step pi/(8 l) for positive levels, extending the window
     geometrically until n_levels levels exist or the budget runs out (the
     latter is flagged in solver_report["window_exhausted"]).
     """
@@ -362,7 +350,7 @@ def solve_interval_spectrum(
     if n_levels < 1:
         raise ValueError("n_levels must be at least 1")
     l = spec.geometry.l
-    step = k_step if k_step is not None else np.pi / (8.0 * l)
+    step = np.pi / (8.0 * l)
     floor = 1e-7 / l
     report = {
         "bracket_count": 0,
@@ -399,7 +387,7 @@ def solve_interval_spectrum(
         if lv is not None:
             levels.append(lv)
 
-    if _det_objective(_interval_matrix(spec, "zero", 0.0)) < _ACCEPT:
+    if abs(_row_normalized_det(_interval_matrix(spec, "zero", 0.0))) < _ACCEPT:
         lv = _interval_level(spec, "zero", 0.0)
         if lv is not None:
             levels.append(lv)
@@ -517,93 +505,3 @@ def solve_line_bound_states(spec: SystemSpec) -> Spectrum:
         "window_extensions": 0,
     }
     return Spectrum(tuple(levels), (-((spec.lam * kappa_max) ** 2), 0.0), report)
-
-
-@dataclass(frozen=True)
-class DecoupledRoots:
-    """Oracle output for one scalar component of a diagonal system."""
-
-    k: tuple
-    kappa: tuple
-    zero_mode: bool
-
-
-def _robin_functional(L):
-    # L encoding: None or +-inf -> Neumann; 0 -> Dirichlet; else psi + L psi'
-    if L is None or np.isinf(L):
-        return lambda v, d: d
-    return lambda v, d: v + L * d
-
-
-def _bisect(g, a: float, b: float, tol: float = 1e-12) -> float:
-    ga, gb = g(a), g(b)
-    if ga == 0.0:
-        return a
-    if gb == 0.0:
-        return b
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if (ga < 0) != (gm < 0):
-            b, gb = mid, gm
-        else:
-            a, ga = mid, gm
-    return 0.5 * (a + b)
-
-
-def _sign_change_roots(g, grid: np.ndarray, floor: float) -> list:
-    vals = np.array([g(q) for q in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            if grid[i] > floor:
-                roots.append(grid[i])
-        elif (vals[i] < 0) != (vals[i + 1] < 0):
-            r = _bisect(g, grid[i], grid[i + 1])
-            if r > floor:
-                roots.append(r)
-    return roots
-
-
-def oracle_decoupled_roots(
-    L_left, L_right, l: float, n_levels: int = 10
-) -> DecoupledRoots:
-    """Independent eigenvalue oracle for one decoupled component.
-
-    The component obeys psi + L psi' = 0 at both ends (L encoded as in
-    _robin_functional: 0 Dirichlet, inf Neumann), with the outward-pointing
-    x so the same functional applies at x = 0 and x = l.  Roots come from
-    sign-change bisection on the scalar 2x2 determinant, which is reliable
-    here because scalar Robin eigenvalues are simple.
-    """
-    fl = _robin_functional(L_left)
-    fr = _robin_functional(L_right)
-
-    def gpos(k):
-        return fl(1.0, 0.0) * fr(np.sin(k * l), k * np.cos(k * l)) - fl(0.0, k) * fr(
-            np.cos(k * l), -k * np.sin(k * l)
-        )
-
-    def gneg(q):
-        return fl(1.0, 0.0) * fr(np.sinh(q * l), q * np.cosh(q * l)) - fl(0.0, q) * fr(
-            np.cosh(q * l), q * np.sinh(q * l)
-        )
-
-    k_max = (n_levels + 3) * np.pi / l
-    kgrid = np.arange(1e-9, k_max, np.pi / (20.0 * l))
-    k_roots = _sign_change_roots(gpos, kgrid, floor=1e-7 / l)[:n_levels]
-
-    scales = [l]
-    for L in (L_left, L_right):
-        if L is not None and np.isfinite(L) and abs(L) > 1e-12:
-            scales.append(abs(L))
-    kappa_max = min(4.0 / min(scales) + 2.0 / l, 300.0 / l)
-    qgrid = np.arange(1e-9, kappa_max, kappa_max / 2000.0)
-    kappa_roots = _sign_change_roots(gneg, qgrid, floor=1e-7 / l)
-
-    both_neumann = all(L is None or np.isinf(L) for L in (L_left, L_right))
-    both_finite = all(L is not None and np.isfinite(L) for L in (L_left, L_right))
-    zero = both_neumann or (both_finite and abs(L_left - L_right - l) < 1e-12)
-    return DecoupledRoots(tuple(k_roots), tuple(kappa_roots), zero)

@@ -252,28 +252,28 @@ class WaveFunction:
         return -((self.lam * self.wavenumber) ** 2)
 
 
-def derivative_rep(wf: WaveFunction) -> np.ndarray:
-    """Matrix M with: coefficients of Psi' = M @ (coefficients of Psi).
+def derivative_rep(geometry: Geometry, sector: str, q: float) -> np.ndarray:
+    """Matrix M with: coefficients of Psi' = M @ (coefficients of Psi), in
+    the sector basis of wavenumber q on the geometry.
 
     Row-major coeffs arrays therefore transform as C -> C @ M.T.
     """
-    q = wf.wavenumber
-    if wf.sector == "positive":
+    if sector == "positive":
         return np.array([[0.0, q], [-q, 0.0]])
-    if wf.sector == "zero":
+    if sector == "zero":
         return np.array([[0.0, 1.0], [0.0, 0.0]])
-    if wf.geometry.is_interval:
+    if geometry.is_interval:
         return np.array([[0.0, q], [q, 0.0]])
     return np.array([[-q, 1.0], [0.0, -q]])
 
 
-def _basis_values(wf: WaveFunction, x: float) -> np.ndarray:
-    q = wf.wavenumber
-    if wf.sector == "positive":
+def _basis_values(geometry: Geometry, sector: str, q: float, x: float) -> np.ndarray:
+    """The two sector basis functions at x (see WaveFunction)."""
+    if sector == "positive":
         return np.array([np.cos(q * x), np.sin(q * x)])
-    if wf.sector == "zero":
+    if sector == "zero":
         return np.array([1.0, x])
-    if wf.geometry.is_interval:
+    if geometry.is_interval:
         return np.array([np.cosh(q * x), np.sinh(q * x)])
     e = np.exp(-q * x)
     return np.array([e, x * e])
@@ -289,13 +289,14 @@ def _check_domain(wf: WaveFunction, x: float) -> None:
 def evaluate(wf: WaveFunction, x: float) -> np.ndarray:
     """Psi(x) as a 2-vector, from the closed-form basis."""
     _check_domain(wf, x)
-    return wf.coeffs @ _basis_values(wf, x)
+    return wf.coeffs @ _basis_values(wf.geometry, wf.sector, wf.wavenumber, x)
 
 
 def derivative(wf: WaveFunction, x: float) -> np.ndarray:
     """Psi'(x), exact (the basis is differentiated analytically)."""
     _check_domain(wf, x)
-    return (wf.coeffs @ derivative_rep(wf).T) @ _basis_values(wf, x)
+    vals = _basis_values(wf.geometry, wf.sector, wf.wavenumber, x)
+    return (wf.coeffs @ derivative_rep(wf.geometry, wf.sector, wf.wavenumber).T) @ vals
 
 
 def boundary_data(wf: WaveFunction, at: str = "origin") -> BoundaryData:
@@ -308,8 +309,9 @@ def boundary_data(wf: WaveFunction, at: str = "origin") -> BoundaryData:
         x = wf.geometry.l
     else:
         raise ValueError("at must be 'origin' or 'wall'")
-    vals = _basis_values(wf, x)
-    return BoundaryData(wf.coeffs @ vals, (wf.coeffs @ derivative_rep(wf).T) @ vals)
+    vals = _basis_values(wf.geometry, wf.sector, wf.wavenumber, x)
+    dcoeffs = wf.coeffs @ derivative_rep(wf.geometry, wf.sector, wf.wavenumber).T
+    return BoundaryData(wf.coeffs @ vals, dcoeffs @ vals)
 
 
 def _gram(wf: WaveFunction) -> np.ndarray:

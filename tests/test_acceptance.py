@@ -24,7 +24,6 @@ from singular_susy import (
     classify_system,
     conjugate,
     deficiency_indices,
-    oracle_decoupled_roots,
     random_unitary_2x2,
     solve_interval_spectrum,
     susy_boundary_form,
@@ -37,6 +36,7 @@ from families import (
     reflected_crossed_interval,
     simple_charge_interval,
 )
+from oracle import oracle_decoupled_roots
 
 THETAS = (np.pi / 4, np.pi / 2, 2.5)
 MUS = (0.0, np.pi / 3, np.pi / 2, np.pi)

@@ -7,11 +7,12 @@ from singular_susy import (
     Geometry,
     GeometryMismatchError,
     SystemSpec,
+    WaveFunction,
     connection_residual,
     boundary_data,
     half_parity_system,
     l2_norm,
-    oracle_decoupled_roots,
+    random_unitary_2x2,
     robin_matrix,
     secular_matrix,
     solve_interval_spectrum,
@@ -25,9 +26,11 @@ from singular_susy import (
 from families import (
     crossed_robin_interval,
     matched_robin_interval,
+    reflected_crossed_interval,
     robin_line,
     simple_charge_interval,
 )
+from oracle import oracle_decoupled_roots
 
 
 def _draw_end(rng):
@@ -202,6 +205,80 @@ def test_secular_matrix_rank_drop():
     assert secular_matrix(spec, -1.0).shape == (4, 4)
     with pytest.raises(GeometryMismatchError):
         secular_matrix(robin_line(1.0), 1.0)
+
+
+def test_secular_matrix_encodes_both_boundary_forms(rng):
+    """secular_matrix(spec, E) @ C is the origin form stacked on the wall
+    form of the state with coefficients C, for any C, U and diagonal Dl."""
+    eye = np.eye(2)
+    sign = {"positive": 1.0, "zero": 0.0, "negative": -1.0}
+    for trial in range(90):
+        l = rng.uniform(0.2, 4.0)
+        dl = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2)))
+        spec = SystemSpec(
+            Geometry.interval(l),
+            random_unitary_2x2(rng),
+            dl,
+            rng.uniform(0.5, 2.0),
+            rng.uniform(0.1, 5.0),
+        )
+        sector = ("positive", "zero", "negative")[trial % 3]
+        energy = sign[sector] * (spec.lam * rng.uniform(0.01, 30.0) / l) ** 2
+        q = np.sqrt(abs(energy)) / spec.lam
+        c = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        wf = WaveFunction(spec.geometry, sector, q, c, spec.lam)
+        unit = WaveFunction(spec.geometry, sector, q, eye, spec.lam)
+        forms, sizes = [], []
+        for mat, at in ((spec.U, "origin"), (spec.Dl, "wall")):
+            b = boundary_data(wf, at)
+            forms.append((mat - eye) @ b.psi + 1j * spec.L0 * (mat + eye) @ b.dpsi)
+            # cancellation-free size of every term that sums into the row
+            v = boundary_data(unit, at)
+            sizes.append(
+                np.abs(mat - eye) @ np.abs(c) @ np.abs(v.psi)
+                + spec.L0 * np.abs(mat + eye) @ np.abs(c) @ np.abs(v.dpsi)
+            )
+        got = secular_matrix(spec, energy) @ c.reshape(-1)
+        err = np.abs(got - np.concatenate(forms))
+        assert np.all(err <= 1e-12 * np.concatenate(sizes)), (sector, q * l)
+
+
+def test_scale_covariance():
+    """l, L0 and the Robin length L -> s l, s L0, s L: E -> E / s^2, with the
+    same sectors and multiplicities."""
+    for s in (0.37, 2.9):
+        pairs = [
+            (matched_robin_interval(th), matched_robin_interval(th, l=s, L0=s))
+            for th in (np.pi / 4, 2.5)
+        ] + [
+            (crossed_robin_interval(-0.5), crossed_robin_interval(-0.5 * s, l=s, L0=s)),
+            (
+                reflected_crossed_interval(-0.5),
+                reflected_crossed_interval(-0.5 * s, l=s, L0=s),
+            ),
+            (
+                simple_charge_interval(np.pi / 3),
+                simple_charge_interval(np.pi / 3, l=s, L0=s),
+            ),
+        ]
+        solved = [
+            (solve_interval_spectrum(a, n_levels=6), solve_interval_spectrum(b, n_levels=6))
+            for a, b in pairs
+        ]
+        solved.append(
+            (
+                solve_line_bound_states(robin_line(np.pi / 2)),
+                solve_line_bound_states(robin_line(np.pi / 2, L0=s)),
+            )
+        )
+        for base, scaled in solved:
+            assert base.levels
+            assert [(lv.sector, lv.multiplicity) for lv in scaled.levels] == [
+                (lv.sector, lv.multiplicity) for lv in base.levels
+            ]
+            np.testing.assert_allclose(
+                np.array(scaled.energies) * s**2, base.energies, rtol=1e-9, atol=0.0
+            )
 
 
 def test_geometry_dispatch():
