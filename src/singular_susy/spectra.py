@@ -9,8 +9,11 @@ parameter (self-adjointness), so simple roots are bracketed by sign
 changes of the de-phased samples and bisected, while even-order roots are
 caught as dips of the magnitude and refined by golden section; the null
 space of the column-rescaled matrix then yields the eigenstates and the
-multiplicity.  On the line the matching matrix is 2x2 and its determinant
-is an exact quadratic in kappa, solved directly.
+multiplicity.  Each scan grid is built and its determinants taken as one
+stack of matrices; brackets are refined lowest energy first, only until
+the requested number of levels is certain.  On the line the matching
+matrix is 2x2 and its determinant is an exact quadratic in kappa, solved
+directly.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .system import (
     _basis_values,
     boundary_data,
     connection_residual,
-    derivative_rep,
     l2_norm,
     normalize,
     wall_residual,
@@ -72,30 +74,40 @@ class Spectrum:
 
 
 def _interval_matrix(
-    spec: SystemSpec, sector: str, q: float, magnitudes: bool = False
+    spec: SystemSpec, sector: str, qs, magnitudes: bool = False
 ) -> np.ndarray:
-    # Each boundary with matrix M gives the row pair (M - I) (x) v +
-    # i L0 (M + I) (x) d from the basis values v and derivatives d at that
-    # end.  magnitudes=True sums |term| instead of term: a cancellation-free
-    # size reference for deciding when a column of the true matrix has vanished.
+    # One 4x4 secular matrix per wavenumber in qs, stacked.  Each boundary
+    # with matrix M gives the row pair (M - I) (x) v + i L0 (M + I) (x) d from
+    # the basis values v and derivatives d at that end.  magnitudes=True sums
+    # |term| instead of term: a cancellation-free size reference for deciding
+    # when a column of the true matrix has vanished.
     # Zero-padded blocks and a matmul, not np.kron: kron gives the same values
     # but other signed zeros, and LAPACK's Householder steps take their sign
     # from the leading entry, zeros included.
+    qs = np.atleast_1d(np.asarray(qs, dtype=float))[:, None]
+    ends = np.array([0.0, spec.geometry.l])
+    if sector == "zero":
+        a, b, d0, d1 = np.ones(2), ends, np.zeros(2), np.ones(2)
+    else:
+        # derivative_rep(...).T @ (a, b) written out, its 0 * a term kept for the signed zeros
+        a, b = _basis_values(spec.geometry, sector, qs, ends)
+        d0 = 0.0 * a - qs * b if sector == "positive" else 0.0 * a + qs * b
+        d1 = qs * a
+    # basis values and derivatives, indexed [end, q, function]
+    v, d = np.array([a, b]).T, np.array([d0, d1]).T
     eye = np.eye(2, dtype=complex)
-    dmap = derivative_rep(spec.geometry, sector, q).T
-    m = np.zeros((4, 4), dtype=complex)
-    for mat, x, row in ((spec.U, 0.0, 0), (spec.Dl, spec.geometry.l, 2)):
-        v = _basis_values(spec.geometry, sector, q, x)
-        vals = np.zeros((2, 4), dtype=complex)
-        ders = np.zeros((2, 4), dtype=complex)
-        vals[0, :2] = vals[1, 2:] = v
-        ders[0, :2] = ders[1, 2:] = dmap @ v
+    m = np.zeros((len(qs), 4, 4), dtype=complex)
+    vals = np.zeros((len(qs), 2, 4), dtype=complex)
+    ders = np.zeros((len(qs), 2, 4), dtype=complex)
+    for end, (mat, row) in enumerate(((spec.U, 0), (spec.Dl, 2))):
+        vals[:, 0, :2] = vals[:, 1, 2:] = v[end]
+        ders[:, 0, :2] = ders[:, 1, 2:] = d[end]
         if magnitudes:
-            m[row : row + 2] = np.abs(mat - eye) @ np.abs(vals) + spec.L0 * np.abs(
+            m[:, row : row + 2] = np.abs(mat - eye) @ np.abs(vals) + spec.L0 * np.abs(
                 mat + eye
             ) @ np.abs(ders)
         else:
-            m[row : row + 2] = (mat - eye) @ vals + 1j * spec.L0 * (mat + eye) @ ders
+            m[:, row : row + 2] = (mat - eye) @ vals + 1j * spec.L0 * (mat + eye) @ ders
     return m
 
 
@@ -113,7 +125,7 @@ def secular_matrix(spec: SystemSpec, energy: float) -> np.ndarray:
         sector, q = "zero", 0.0
     else:
         sector, q = "negative", np.sqrt(-energy) / spec.lam
-    return _interval_matrix(spec, sector, q)
+    return _interval_matrix(spec, sector, q)[0]
 
 
 def _line_matrix(spec: SystemSpec, kappa: float, magnitudes: bool = False) -> np.ndarray:
@@ -140,8 +152,8 @@ def _scaled_for_nullity(m: np.ndarray, scale_m: np.ndarray):
     return m / norms, norms
 
 
-def _row_normalized_det(m: np.ndarray) -> complex:
-    """det of the row-normalized matrix; the scan hunts its zeros.
+def _row_normalized_det(m: np.ndarray) -> np.ndarray:
+    """det of each row-normalized matrix in the stack; the scan hunts its zeros.
 
     Row normalization keeps the value scale-free without hiding roots:
     boundary rows never vanish (that would need a common zero row in both
@@ -152,10 +164,12 @@ def _row_normalized_det(m: np.ndarray) -> complex:
     fixed phase times a real function of the spectral parameter, which is
     what lets the scan bracket simple roots by sign changes.
     """
-    norms = np.linalg.norm(m, axis=1)
-    if np.any(norms == 0.0):
-        return 0.0j
-    return complex(np.linalg.det(m / norms[:, None]))
+    norms = np.linalg.norm(m, axis=-1)
+    vanished = (norms == 0.0).any(axis=-1)
+    norms[vanished] = 1.0
+    dets = np.linalg.det(m / norms[..., None])
+    dets[vanished] = 0.0
+    return dets
 
 
 def _golden_min(f, a: float, b: float, xtol: float):
@@ -198,22 +212,47 @@ def _bisect_root(g, a: float, b: float, ga: float, xtol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _scan_roots(d, grid: np.ndarray, floor: float):
-    """Locate zeros of the complex-valued secular function d over the grid.
+def _merged(found: list) -> list:
+    """Sorted roots with twins closer than 1e-9 max(1, q) merged into the
+    one of smallest |det|: (q, |det|, lowest twin) per distinct root."""
+    merged = []
+    for q, fq in sorted(found):
+        if merged and abs(q - merged[-1][0]) < 1e-9 * max(1.0, q):
+            if fq < merged[-1][1]:
+                merged[-1] = (q, fq, merged[-1][2])
+        else:
+            merged.append((q, fq, q))
+    return merged
 
-    The samples are de-phased against the largest one, leaving a real
-    function g.  Sign changes of g bracket simple roots for bisection,
-    which cannot lose one of two nearby roots the way dip-hunting on |g|
-    can.  Strict interior minima of |g| remain the route to roots of even
-    order, refined by golden section; each such root gets a fine subscan
-    of its bracket afterwards, since a pair of simple roots inside one
-    grid cell also leaves no sign change at the cell ends.
+
+def _scan_roots(spec: SystemSpec, sector: str, grid: np.ndarray, floor: float, need: int):
+    """Locate zeros of the secular determinant over the grid, lowest energy
+    first, and build the levels of the lowest `need` of them.
+
+    The whole grid is evaluated in one batch.  The samples are de-phased
+    against the largest one, leaving a real function g.  Sign changes of g
+    bracket simple roots for bisection, which cannot lose one of two nearby
+    roots the way dip-hunting on |g| can.  Strict interior minima of |g|
+    remain the route to roots of even order, refined by golden section; each
+    such root gets a fine subscan of its bracket afterwards, since a pair of
+    simple roots inside one grid cell also leaves no sign change at the cell
+    ends.
+
+    Brackets are refined in energy order (ascending k, descending kappa),
+    and refinement stops before the first bracket lying wholly past the
+    need-th level by more than the merge tolerance: nothing there can make
+    or merge with a kept root.  Returns the refined roots, the levels of the
+    lowest `need` roots that have states, and the number of brackets refined.
     """
-    vals = np.array([d(q) for q in grid])
+
+    def d(q):
+        return complex(_row_normalized_det(_interval_matrix(spec, sector, q))[0])
+
+    vals = _row_normalized_det(_interval_matrix(spec, sector, grid))
     mags = np.abs(vals)
     top = float(mags.max())
     if top == 0.0:
-        return [], 0
+        return [], [], 0
     ref = np.conj(vals[int(np.argmax(mags))]) / top
 
     def greal(q):
@@ -223,7 +262,6 @@ def _scan_roots(d, grid: np.ndarray, floor: float):
         return abs(d(q))
 
     g = np.real(vals * ref)
-    n = len(grid)
     found = []
     brackets = 0
 
@@ -239,16 +277,9 @@ def _scan_roots(d, grid: np.ndarray, floor: float):
                 if fq < _ACCEPT and q > floor:
                     found.append((q, fq))
 
-    hunt_sign_changes(grid, g)
-
-    # an edge sample is never refined: next to q = 0 a zero mode's tail
-    # already makes |g| tiny without any root inside the grid
-    for i in range(1, n - 1):
-        if not (mags[i] < mags[i - 1] and mags[i] < mags[i + 1]):
-            continue
+    def refine_dip(a, b):
+        nonlocal brackets
         brackets += 1
-        a = grid[i - 1]
-        b = grid[i + 1]
         q, fq = _golden_min(fabs, a, b, _XTOL)
         if fq < _ACCEPT and q > floor:
             found.append((q, fq))
@@ -260,15 +291,37 @@ def _scan_roots(d, grid: np.ndarray, floor: float):
                 qs = np.linspace(lo, hi, 65)
                 hunt_sign_changes(qs, np.array([greal(x) for x in qs]))
 
-    found.sort()
-    merged = []
-    for q, fq in found:
-        if merged and abs(q - merged[-1][0]) < 1e-9 * max(1.0, q):
-            if fq < merged[-1][1]:
-                merged[-1] = (q, fq)
+    neg = g < 0.0
+    changes = np.flatnonzero((g[:-1] != 0.0) & (g[1:] != 0.0) & (neg[:-1] != neg[1:]))
+    # an edge sample is never refined: next to q = 0 a zero mode's tail
+    # already makes |g| tiny without any root inside the grid
+    dips = 1 + np.flatnonzero((mags[1:-1] < mags[:-2]) & (mags[1:-1] < mags[2:]))
+    cells = [(grid[i], grid[i + 1], i, False) for i in changes]
+    cells += [(grid[i - 1], grid[i + 1], i, True) for i in dips]
+    descending = sector == "negative"
+    cells.sort(key=lambda c: -c[1] if descending else c[0])
+    built, levels, merged, edge = {}, [], [], 0.0
+    for lo, hi, i, dip in cells:
+        if len(levels) == need and (
+            hi < edge - 1e-9 * max(1.0, edge) if descending else lo > edge + 1e-9 * max(1.0, lo)
+        ):
+            break
+        if dip:
+            refine_dip(grid[i - 1], grid[i + 1])
         else:
-            merged.append((q, fq))
-    return [q for q, _ in merged], brackets
+            hunt_sign_changes(grid[i : i + 2], g[i : i + 2])
+        merged = _merged(found)
+        levels = []
+        for q, _, low in reversed(merged) if descending else merged:
+            if q not in built:
+                built[q] = _interval_level(spec, sector, q)
+            if built[q] is not None:
+                levels.append(built[q])
+                # kappa: a lower root could still merge into this one's lowest twin
+                edge = low if descending else q
+                if len(levels) == need:
+                    break
+    return [q for q, _, _ in merged], levels, brackets
 
 
 def _phase_fixed_state(wf: WaveFunction) -> WaveFunction:
@@ -310,8 +363,8 @@ def _null_states(spec: SystemSpec, m: np.ndarray, scale_m: np.ndarray, build) ->
 def _interval_level(spec: SystemSpec, sector: str, q: float) -> Level | None:
     states = _null_states(
         spec,
-        _interval_matrix(spec, sector, q),
-        _interval_matrix(spec, sector, q, magnitudes=True),
+        _interval_matrix(spec, sector, q)[0],
+        _interval_matrix(spec, sector, q, magnitudes=True)[0],
         lambda v: WaveFunction(spec.geometry, sector, q, v.reshape(2, 2), spec.lam),
     )
     if not states:
@@ -343,7 +396,10 @@ def solve_interval_spectrum(spec: SystemSpec, n_levels: int = 10) -> Spectrum:
     Robin lengths, tests E = 0 exactly on the polynomial basis, and walks a
     k grid of step pi/(8 l) for positive levels, extending the window
     geometrically until n_levels levels exist or the budget runs out (the
-    latter is flagged in solver_report["window_exhausted"]).
+    latter is flagged in solver_report["window_exhausted"]).  Each scan
+    stops refining once its share of the n_levels lowest levels is certain,
+    the positive scan is skipped when the bound states already fill
+    n_levels, and at most n_levels levels are returned.
     """
     if not spec.geometry.is_interval:
         raise GeometryMismatchError("use solve_line_bound_states on the line")
@@ -359,11 +415,6 @@ def solve_interval_spectrum(spec: SystemSpec, n_levels: int = 10) -> Spectrum:
         "window_exhausted": False,
         "window_extensions": 0,
     }
-    levels = []
-
-    def d_neg(q):
-        return _row_normalized_det(_interval_matrix(spec, "negative", q))
-
     kappa_max = _kappa_window(spec)
     for attempt in range(2):
         kstep_n = min(step, kappa_max / 256.0)
@@ -375,29 +426,23 @@ def solve_interval_spectrum(spec: SystemSpec, n_levels: int = 10) -> Spectrum:
                 ]
             )
         )
-        roots, nb = _scan_roots(d_neg, grid, floor)
+        roots, levels, nb = _scan_roots(spec, "negative", grid, floor, n_levels)
         report["bracket_count"] += nb
         # a root hugging the window edge means the window was too small
         if roots and attempt == 0 and max(roots) > kappa_max - 2.0 * kstep_n:
             kappa_max *= 2.0
             continue
         break
-    for q in roots:
-        lv = _interval_level(spec, "negative", q)
-        if lv is not None:
-            levels.append(lv)
 
-    if abs(_row_normalized_det(_interval_matrix(spec, "zero", 0.0))) < _ACCEPT:
+    zero_det = _row_normalized_det(_interval_matrix(spec, "zero", 0.0))[0]
+    if len(levels) < n_levels and abs(zero_det) < _ACCEPT:
         lv = _interval_level(spec, "zero", 0.0)
         if lv is not None:
             levels.append(lv)
 
-    def d_pos(q):
-        return _row_normalized_det(_interval_matrix(spec, "positive", q))
-
-    base_count = len(levels)
+    need = n_levels - len(levels)
     k_max = (n_levels + 2) * np.pi / l
-    for extension in range(7):
+    for extension in range(7 if need > 0 else 0):
         grid = np.unique(
             np.concatenate(
                 [
@@ -406,19 +451,14 @@ def solve_interval_spectrum(spec: SystemSpec, n_levels: int = 10) -> Spectrum:
                 ]
             )
         )
-        roots, nb = _scan_roots(d_pos, grid, floor)
+        _, pos_levels, nb = _scan_roots(spec, "positive", grid, floor, need)
         report["bracket_count"] += nb
-        pos_levels = []
-        for q in roots:
-            lv = _interval_level(spec, "positive", q)
-            if lv is not None:
-                pos_levels.append(lv)
-        if base_count + len(pos_levels) >= n_levels or extension == 6:
-            report["window_exhausted"] = base_count + len(pos_levels) < n_levels
+        if len(pos_levels) >= need or extension == 6:
+            report["window_exhausted"] = len(pos_levels) < need
             report["window_extensions"] = extension
+            levels.extend(pos_levels)
             break
         k_max *= 1.6
-    levels.extend(pos_levels)
     levels.sort(key=lambda lv: lv.energy)
     window = (-((spec.lam * kappa_max) ** 2), (spec.lam * k_max) ** 2)
     return Spectrum(tuple(levels), window, report)

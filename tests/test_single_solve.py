@@ -50,3 +50,20 @@ def test_one_solve_per_request(tmp_path, monkeypatch, capsys):
         alone = classify_system(spec)
         given = classify_system(spec, solve_spectrum(spec, n_levels=8))
         assert (given.degree, given.goodness, given.shift) == (alone.degree, alone.goodness, alone.shift)
+
+
+def test_bound_states_that_fill_n_levels_skip_the_positive_scan(monkeypatch):
+    built = []
+    original = spectra._interval_matrix
+
+    def spy(spec, sector, *args, **kwargs):
+        built.append(sector)
+        return original(spec, sector, *args, **kwargs)
+
+    monkeypatch.setattr(spectra, "_interval_matrix", spy)
+    spec = matched_robin_interval(np.pi / 2)
+    assert spectra.solve_interval_spectrum(spec, 1).ground.sector == "negative"
+    assert "negative" in built and "positive" not in built
+    built.clear()
+    assert len(spectra.solve_interval_spectrum(spec, 2).levels) == 2
+    assert "positive" in built

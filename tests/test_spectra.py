@@ -22,6 +22,7 @@ from singular_susy import (
     wall_residual,
     wf_inner,
 )
+from singular_susy import spectra
 
 from families import (
     crossed_robin_interval,
@@ -350,3 +351,76 @@ def test_oracle_known_values():
     orc = oracle_decoupled_roots(0.0, -0.5, 1.0)
     assert len(orc.kappa) == 1
     assert abs(np.tanh(orc.kappa[0]) - orc.kappa[0] / 2.0) < 1e-11
+
+
+def _stop_rule_systems(rng):
+    """The closed-form families, Haar-random systems, two bound states of
+    different kappa, and near-degenerate pairs: two Dirichlet components
+    whose wall Robin lengths differ by 2e-6 split each pair by under 1e-6."""
+    systems = [
+        matched_robin_interval(np.pi / 2),
+        matched_robin_interval(2.5, l=1.3),
+        crossed_robin_interval(-0.5),
+        reflected_crossed_interval(-0.7),
+        simple_charge_interval(np.pi / 3),
+        simple_charge_interval(0.0, nu=0.4),
+    ]
+    for _ in range(20):
+        dl = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2)))
+        systems.append(
+            SystemSpec(
+                Geometry.interval(rng.uniform(0.6, 2.0)),
+                random_unitary_2x2(rng),
+                dl,
+                rng.uniform(0.5, 2.0),
+                rng.uniform(0.3, 3.0),
+            )
+        )
+    two_kappas = np.diag(np.exp(1j * np.array([1.2, 2.2])))
+    systems.append(SystemSpec(Geometry.interval(1.0), two_kappas, two_kappas))
+    split = np.diag(np.exp(1j * np.array([theta_for_scale(1.0), theta_for_scale(1.000002)])))
+    systems.append(SystemSpec(Geometry.interval(1.0), -np.eye(2, dtype=complex), split))
+    return systems
+
+
+def test_fewer_levels_are_the_lowest_of_more(rng):
+    """solve_interval_spectrum(spec, n) stops refining once n levels are
+    certain: it must return exactly the lowest n levels of the n = 20 solve."""
+    near_pair = doublet = two_bound = False
+    for spec in _stop_rule_systems(rng):
+        full = solve_interval_spectrum(spec, n_levels=20).levels
+        assert len(full) >= 20
+        for n in (1, 2, 3, 5):
+            got = solve_interval_spectrum(spec, n_levels=n).levels
+            assert len(got) == n
+            for lv, want in zip(got, full):
+                assert (lv.sector, lv.multiplicity) == (want.sector, want.multiplicity)
+                assert abs(lv.wavenumber - want.wavenumber) <= 1e-12 * want.wavenumber
+            near_pair |= abs(full[n].wavenumber - full[n - 1].wavenumber) < 1e-6
+            doublet |= full[n - 1].multiplicity == 2
+        two_bound |= [lv.sector for lv in full[:2]] == ["negative", "negative"]
+    assert near_pair and doublet and two_bound
+
+
+def test_stacked_secular_matrices_match_single_builds(rng):
+    """Each slice of a batched build and its determinant is bitwise the
+    single-wavenumber build, in every sector and both modes."""
+    for trial in range(200):
+        l = rng.uniform(0.2, 4.0)
+        dl = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2)))
+        spec = SystemSpec(
+            Geometry.interval(l),
+            random_unitary_2x2(rng),
+            dl,
+            rng.uniform(0.5, 2.0),
+            rng.uniform(0.1, 5.0),
+        )
+        sector = ("positive", "zero", "negative")[trial % 3]
+        qs = np.zeros(1) if sector == "zero" else rng.uniform(1e-4, 30.0, 8) / l
+        magnitudes = bool(trial % 2)
+        stack = spectra._interval_matrix(spec, sector, qs, magnitudes=magnitudes)
+        dets = spectra._row_normalized_det(stack)
+        for i, q in enumerate(qs):
+            one = spectra._interval_matrix(spec, sector, q, magnitudes=magnitudes)
+            assert stack[i].tobytes() == one[0].tobytes()
+            assert dets[i].tobytes() == spectra._row_normalized_det(one)[0].tobytes()
