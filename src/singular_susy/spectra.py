@@ -6,14 +6,15 @@ and the wall condition at x = l give four linear constraints.  Eigenvalues
 sit where the 4x4 secular matrix drops rank.  The row-normalized
 determinant is a fixed phase times a real function of the spectral
 parameter (self-adjointness), so simple roots are bracketed by sign
-changes of the de-phased samples and bisected, while even-order roots are
-caught as dips of the magnitude and refined by golden section; the null
-space of the column-rescaled matrix then yields the eigenstates and the
-multiplicity.  Each scan grid is built and its determinants taken as one
-stack of matrices; brackets are refined lowest energy first, only until
-the requested number of levels is certain.  On the line the matching
-matrix is 2x2 and its determinant is an exact quadratic in kappa, solved
-directly.
+changes of the de-phased samples and bisected once, while even-order roots
+are caught as dips of the magnitude with no sign change beside them and
+refined by golden section; the null space of the column-rescaled matrix
+then yields the eigenstates and the multiplicity.  Each scan grid, and
+each fine subscan for a twin beside a dip's root, is built and its
+determinants taken as one stack of matrices; brackets are refined lowest
+energy first, only until the requested number of levels is certain.  On
+the line the matching matrix is 2x2 and its determinant is an exact
+quadratic in kappa, solved directly.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ _XTOL = 1e-13
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Level:
     """One discrete level: energy, sector, k or kappa, and its eigenstates."""
 
@@ -225,6 +226,12 @@ def _merged(found: list) -> list:
     return merged
 
 
+def _sign_changes(g: np.ndarray) -> np.ndarray:
+    """Cells (i, i + 1) whose ends are nonzero and of opposite sign."""
+    neg = g < 0.0
+    return np.flatnonzero((g[:-1] != 0.0) & (g[1:] != 0.0) & (neg[:-1] != neg[1:]))
+
+
 def _scan_roots(spec: SystemSpec, sector: str, grid: np.ndarray, floor: float, need: int):
     """Locate zeros of the secular determinant over the grid, lowest energy
     first, and build the levels of the lowest `need` of them.
@@ -232,11 +239,13 @@ def _scan_roots(spec: SystemSpec, sector: str, grid: np.ndarray, floor: float, n
     The whole grid is evaluated in one batch.  The samples are de-phased
     against the largest one, leaving a real function g.  Sign changes of g
     bracket simple roots for bisection, which cannot lose one of two nearby
-    roots the way dip-hunting on |g| can.  Strict interior minima of |g|
-    remain the route to roots of even order, refined by golden section; each
-    such root gets a fine subscan of its bracket afterwards, since a pair of
-    simple roots inside one grid cell also leaves no sign change at the cell
-    ends.
+    roots the way dip-hunting on |g| can.  A strict interior minimum of |g|
+    beside a sign change is that cell's root, so bisection alone refines
+    it; a dip with no sign change on either side (an even-order root, or a
+    pair of simple roots inside one cell) is refined by golden section, and
+    a dip shallower than 1e-12 relative to its neighbours is rounding noise
+    and is skipped.  Each root found at a dip gets a fine subscan of the
+    dip's bracket on both sides, evaluated as one stack, for a hidden twin.
 
     Brackets are refined in energy order (ascending k, descending kappa),
     and refinement stops before the first bracket lying wholly past the
@@ -265,51 +274,55 @@ def _scan_roots(spec: SystemSpec, sector: str, grid: np.ndarray, floor: float, n
     found = []
     brackets = 0
 
-    def hunt_sign_changes(qs, gs):
-        nonlocal brackets
-        for i in range(len(qs) - 1):
-            if gs[i] == 0.0 or gs[i + 1] == 0.0:
-                continue
-            if (gs[i] < 0.0) != (gs[i + 1] < 0.0):
-                brackets += 1
-                q = _bisect_root(greal, qs[i], qs[i + 1], gs[i], _XTOL)
-                fq = fabs(q)
-                if fq < _ACCEPT and q > floor:
-                    found.append((q, fq))
-
-    def refine_dip(a, b):
-        nonlocal brackets
-        brackets += 1
-        q, fq = _golden_min(fabs, a, b, _XTOL)
-        if fq < _ACCEPT and q > floor:
-            found.append((q, fq))
-            # the dip may hide a twin root on either side of q
-            eps = 1e-11 * max(1.0, q)
-            for lo, hi in ((a, q - eps), (q + eps, b)):
-                if hi <= lo:
-                    continue
+    def keep(q, fq, dip):
+        if not (fq < _ACCEPT and q > floor):
+            return
+        found.append((q, fq))
+        if dip is None:
+            return
+        # the dip may hide a twin root on either side of q
+        eps = 1e-11 * max(1.0, q)
+        for lo, hi in ((dip[0], q - eps), (q + eps, dip[1])):
+            if hi > lo:
                 qs = np.linspace(lo, hi, 65)
-                hunt_sign_changes(qs, np.array([greal(x) for x in qs]))
+                hunt(qs, np.real(_row_normalized_det(_interval_matrix(spec, sector, qs)) * ref))
 
-    neg = g < 0.0
-    changes = np.flatnonzero((g[:-1] != 0.0) & (g[1:] != 0.0) & (neg[:-1] != neg[1:]))
+    def hunt(qs, gs, dip=None):
+        nonlocal brackets
+        for i in _sign_changes(gs):
+            brackets += 1
+            q = _bisect_root(greal, qs[i], qs[i + 1], gs[i], _XTOL)
+            keep(q, fabs(q), dip)
+
     # an edge sample is never refined: next to q = 0 a zero mode's tail
     # already makes |g| tiny without any root inside the grid
-    dips = 1 + np.flatnonzero((mags[1:-1] < mags[:-2]) & (mags[1:-1] < mags[2:]))
-    cells = [(grid[i], grid[i + 1], i, False) for i in changes]
-    cells += [(grid[i - 1], grid[i + 1], i, True) for i in dips]
+    deep = mags[1:-1] < (1.0 - 1e-12) * np.minimum(mags[:-2], mags[2:])
+    # (lo, hi, sign-change cell or None, whether [lo, hi] is a dip's bracket)
+    cells = {c: (grid[c], grid[c + 1], c, False) for c in _sign_changes(g)}
+    dips = []
+    for i in 1 + np.flatnonzero(deep):
+        # a dip beside a sign change is that cell's root: the cell takes its bracket
+        c = i - 1 if i - 1 in cells else i if i in cells else None
+        cell = (grid[i - 1], grid[i + 1], c, True)
+        if c is None:
+            dips.append(cell)
+        else:
+            cells[c] = cell
+    cells = list(cells.values()) + dips
     descending = sector == "negative"
     cells.sort(key=lambda c: -c[1] if descending else c[0])
     built, levels, merged, edge = {}, [], [], 0.0
-    for lo, hi, i, dip in cells:
+    for lo, hi, c, dip in cells:
         if len(levels) == need and (
             hi < edge - 1e-9 * max(1.0, edge) if descending else lo > edge + 1e-9 * max(1.0, lo)
         ):
             break
-        if dip:
-            refine_dip(grid[i - 1], grid[i + 1])
+        bracket = (lo, hi) if dip else None
+        if c is None:
+            brackets += 1
+            keep(*_golden_min(fabs, lo, hi, _XTOL), bracket)
         else:
-            hunt_sign_changes(grid[i : i + 2], g[i : i + 2])
+            hunt(grid[c : c + 2], g[c : c + 2], bracket)
         merged = _merged(found)
         levels = []
         for q, _, low in reversed(merged) if descending else merged:

@@ -209,7 +209,7 @@ def wall_residual(spec: SystemSpec, b: BoundaryData) -> float:
     return _form_residual(spec.Dl, b, spec.L0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class WaveFunction:
     """Two-component state with closed-form coefficients over a sector basis.
 

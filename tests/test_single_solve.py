@@ -67,3 +67,27 @@ def test_bound_states_that_fill_n_levels_skip_the_positive_scan(monkeypatch):
     built.clear()
     assert len(spectra.solve_interval_spectrum(spec, 2).levels) == 2
     assert "positive" in built
+
+
+def test_each_simple_root_is_refined_once(monkeypatch):
+    """The |det| dip beside a sign change is the bisected root itself: no
+    golden section, and its twin subscans are two stacked builds."""
+    sizes, golden = [], []
+    build, minimize = spectra._interval_matrix, spectra._golden_min
+
+    def spy_build(spec, sector, qs, *args, **kwargs):
+        sizes.append(np.size(qs))
+        return build(spec, sector, qs, *args, **kwargs)
+
+    def spy_golden(*args, **kwargs):
+        golden.append(args)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "_interval_matrix", spy_build)
+    monkeypatch.setattr(spectra, "_golden_min", spy_golden)
+    ground = spectra.solve_interval_spectrum(matched_robin_interval(np.pi / 2), 1).ground
+    # matched Robin length L = cot(pi/4) = 1: ground state e^{-x}
+    assert ground.sector == "negative" and abs(ground.wavenumber - 1.0) < 1e-12
+    assert golden == []
+    assert sizes.count(65) == 2
+    assert len(sizes) < 60

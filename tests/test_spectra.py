@@ -1,5 +1,9 @@
 """Spectral solver tests, anchored to an independent bisection oracle."""
 
+import copy
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -424,3 +428,55 @@ def test_stacked_secular_matrices_match_single_builds(rng):
             one = spectra._interval_matrix(spec, sector, q, magnitudes=magnitudes)
             assert stack[i].tobytes() == one[0].tobytes()
             assert dets[i].tobytes() == spectra._row_normalized_det(one)[0].tobytes()
+
+
+def test_rounding_noise_dips_are_not_refined(monkeypatch):
+    """A Dirichlet origin against a wall that is Dirichlet on one component
+    and Robin of length 3e-8 on the other: near pairs k = n pi and about
+    n pi (1 - 3e-8), and a kappa grid whose |det| is flat to rounding from
+    kappa ~ 10 on.  Its strict minima there are noise, not roots."""
+    L = 3e-8
+    dl = np.diag([-1.0, np.exp(1j * theta_for_scale(L))])
+    spec = SystemSpec(Geometry.interval(1.0), -np.eye(2, dtype=complex), dl)
+    builds = []
+    original = spectra._interval_matrix
+
+    def spy(*args, **kwargs):
+        builds.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "_interval_matrix", spy)
+    spectrum = solve_interval_spectrum(spec, n_levels=5)
+    want = sorted(
+        oracle_decoupled_roots(0.0, 0.0, 1.0, n_levels=5).k
+        + oracle_decoupled_roots(0.0, L, 1.0, n_levels=5).k
+    )[:5]
+    assert [(lv.sector, lv.multiplicity) for lv in spectrum.levels] == [("positive", 1)] * 5
+    np.testing.assert_allclose([lv.wavenumber for lv in spectrum.levels], want, rtol=1e-12, atol=0)
+    assert spectrum.solver_report["bracket_count"] <= 20
+    assert len(builds) <= 1000
+
+
+def test_solved_spectrum_round_trips_bitwise():
+    """Levels and states are slotted dataclasses; pickle, deepcopy and
+    dataclasses.replace still reproduce a solved spectrum bit for bit."""
+    spectrum = solve_interval_spectrum(crossed_robin_interval(-0.7), n_levels=4)
+
+    def content(sp):
+        rows = []
+        for lv in sp.levels:
+            assert not hasattr(lv, "__dict__")
+            for wf in lv.states:
+                assert not hasattr(wf, "__dict__")
+                rows.append((lv.sector, lv.multiplicity, wf.sector, wf.geometry))
+                rows.append(np.array([lv.energy, lv.wavenumber, wf.wavenumber, wf.lam]).tobytes())
+                rows.append(wf.coeffs.tobytes())
+        return rows, np.array(sp.scan_window).tobytes(), sp.solver_report
+
+    assert any(lv.multiplicity == 2 for lv in spectrum.levels)
+    rebuilt = replace(
+        spectrum,
+        levels=[replace(lv, states=[replace(wf) for wf in lv.states]) for lv in spectrum.levels],
+    )
+    for other in (pickle.loads(pickle.dumps(spectrum)), copy.deepcopy(spectrum), rebuilt):
+        assert content(other) == content(spectrum)
