@@ -105,8 +105,8 @@ def diagonalize_u2(u, tol: float = 1e-10, phase_tol: float = 1e-9):
     if not is_unitary(u, tol):
         raise NotUnitaryError("matrix is not unitary within %.1e" % tol)
     tr = u[0, 0] + u[1, 1]
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    disc = np.sqrt(tr * tr - 4.0 * det + 0.0j)
+    # tr^2 - 4 det without the cancellation when both eigenvalues are close
+    disc = np.sqrt((u[0, 0] - u[1, 1]) ** 2 + 4.0 * u[0, 1] * u[1, 0] + 0.0j)
     w1 = (tr + disc) / 2.0
     w2 = (tr - disc) / 2.0
     if abs(w1 - w2) <= tol:

@@ -13,8 +13,9 @@ then yields the eigenstates and the multiplicity.  Each scan grid, and
 each fine subscan for a twin beside a dip's root, is built and its
 determinants taken as one stack of matrices; brackets are refined lowest
 energy first, only until the requested number of levels is certain.  On
-the line the matching matrix is 2x2 and its determinant is an exact
-quadratic in kappa, solved directly.
+the line each eigenvector of U with eigenvalue e^{i phi} binds one state
+e^{-kappa x} with kappa = tan(phi/2) / L0, read off the same diagonalization
+the classifier uses.
 """
 
 from __future__ import annotations
@@ -24,19 +25,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GeometryMismatchError
+from .matkit import diagonalize_u2
 from .system import (
     SystemSpec,
     WaveFunction,
     _basis_values,
     boundary_data,
     connection_residual,
+    inverse_robin_length,
     l2_norm,
     normalize,
     wall_residual,
     wf_inner,
 )
 
-_ACCEPT = 1e-10  # normalized |det| below this counts as a rank drop
+_ACCEPT = 1e-10  # at a minimum or at E = 0, normalized |det| below this is a rank drop
 _NULL_TOL = 1e-8  # singular values of the rescaled matrix below this are null
 _XTOL = 1e-13
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -127,13 +130,6 @@ def secular_matrix(spec: SystemSpec, energy: float) -> np.ndarray:
     else:
         sector, q = "negative", np.sqrt(-energy) / spec.lam
     return _interval_matrix(spec, sector, q)[0]
-
-
-def _line_matrix(spec: SystemSpec, kappa: float, magnitudes: bool = False) -> np.ndarray:
-    eye = np.eye(2, dtype=complex)
-    if magnitudes:
-        return np.abs(spec.U - eye) + kappa * spec.L0 * np.abs(spec.U + eye)
-    return (spec.U - eye) - 1j * kappa * spec.L0 * (spec.U + eye)
 
 
 def _scaled_for_nullity(m: np.ndarray, scale_m: np.ndarray):
@@ -239,13 +235,15 @@ def _scan_roots(spec: SystemSpec, sector: str, grid: np.ndarray, floor: float, n
     The whole grid is evaluated in one batch.  The samples are de-phased
     against the largest one, leaving a real function g.  Sign changes of g
     bracket simple roots for bisection, which cannot lose one of two nearby
-    roots the way dip-hunting on |g| can.  A strict interior minimum of |g|
-    beside a sign change is that cell's root, so bisection alone refines
+    roots the way dip-hunting on |g| can; g is continuous, so a bisected
+    root is kept however steep |g| is there.  A strict interior minimum of
+    |g| beside a sign change is that cell's root, so bisection alone refines
     it; a dip with no sign change on either side (an even-order root, or a
     pair of simple roots inside one cell) is refined by golden section, and
-    a dip shallower than 1e-12 relative to its neighbours is rounding noise
-    and is skipped.  Each root found at a dip gets a fine subscan of the
-    dip's bracket on both sides, evaluated as one stack, for a hidden twin.
+    its minimum is a root only below _ACCEPT.  A dip shallower than 1e-12
+    relative to its neighbours is rounding noise and is skipped.  Each root
+    found at a dip gets a fine subscan of the dip's bracket on both sides,
+    evaluated as one stack, for a hidden twin.
 
     Brackets are refined in energy order (ascending k, descending kappa),
     and refinement stops before the first bracket lying wholly past the
@@ -275,7 +273,7 @@ def _scan_roots(spec: SystemSpec, sector: str, grid: np.ndarray, floor: float, n
     brackets = 0
 
     def keep(q, fq, dip):
-        if not (fq < _ACCEPT and q > floor):
+        if q <= floor:
             return
         found.append((q, fq))
         if dip is None:
@@ -320,7 +318,9 @@ def _scan_roots(spec: SystemSpec, sector: str, grid: np.ndarray, floor: float, n
         bracket = (lo, hi) if dip else None
         if c is None:
             brackets += 1
-            keep(*_golden_min(fabs, lo, hi, _XTOL), bracket)
+            q, fq = _golden_min(fabs, lo, hi, _XTOL)
+            if fq < _ACCEPT:
+                keep(q, fq, bracket)
         else:
             hunt(grid[c : c + 2], g[c : c + 2], bracket)
         merged = _merged(found)
@@ -354,32 +354,25 @@ def _orthonormalized(states: list) -> list:
     return out
 
 
-def _null_states(spec: SystemSpec, m: np.ndarray, scale_m: np.ndarray, build) -> list:
-    meq, colnorms = _scaled_for_nullity(m, scale_m)
+def _interval_level(spec: SystemSpec, sector: str, q: float) -> Level | None:
+    meq, colnorms = _scaled_for_nullity(
+        _interval_matrix(spec, sector, q)[0],
+        _interval_matrix(spec, sector, q, magnitudes=True)[0],
+    )
     _, s, vh = np.linalg.svd(meq)
     # absolute count: kept columns have unit norm, so s[0] is O(1) unless the
     # whole matrix vanished, in which case every direction really is null
     nullity = int(np.sum(s < _NULL_TOL)) or 1
     states = []
     for j in range(len(s) - nullity, len(s)):
-        wf = build(np.conj(vh[j]) / colnorms)
-        bd = boundary_data(wf, "origin")
-        if connection_residual(spec, bd) > 1e-8:
+        coeffs = (np.conj(vh[j]) / colnorms).reshape(2, 2)
+        wf = WaveFunction(spec.geometry, sector, q, coeffs, spec.lam)
+        if connection_residual(spec, boundary_data(wf, "origin")) > 1e-8:
             continue
-        if spec.geometry.is_interval:
-            if wall_residual(spec, boundary_data(wf, "wall")) > 1e-8:
-                continue
+        if wall_residual(spec, boundary_data(wf, "wall")) > 1e-8:
+            continue
         states.append(normalize(wf))
-    return _orthonormalized(states)
-
-
-def _interval_level(spec: SystemSpec, sector: str, q: float) -> Level | None:
-    states = _null_states(
-        spec,
-        _interval_matrix(spec, sector, q)[0],
-        _interval_matrix(spec, sector, q, magnitudes=True)[0],
-        lambda v: WaveFunction(spec.geometry, sector, q, v.reshape(2, 2), spec.lam),
-    )
+    states = _orthonormalized(states)
     if not states:
         return None
     return Level(states[0].energy, sector, q, len(states), tuple(states))
@@ -407,12 +400,12 @@ def solve_interval_spectrum(spec: SystemSpec, n_levels: int = 10) -> Spectrum:
 
     Scans the negative sector over a kappa window sized from the boundary
     Robin lengths, tests E = 0 exactly on the polynomial basis, and walks a
-    k grid of step pi/(8 l) for positive levels, extending the window
-    geometrically until n_levels levels exist or the budget runs out (the
-    latter is flagged in solver_report["window_exhausted"]).  Each scan
-    stops refining once its share of the n_levels lowest levels is certain,
-    the positive scan is skipped when the bound states already fill
-    n_levels, and at most n_levels levels are returned.
+    k grid of step pi/(8 l) for positive levels up to a k that bounds the
+    n_levels-th level (fewer levels than asked for are flagged in
+    solver_report["window_exhausted"]).  Each scan stops refining once its
+    share of the n_levels lowest levels is certain, the positive scan is
+    skipped when the bound states already fill n_levels, and at most
+    n_levels levels are returned.
     """
     if not spec.geometry.is_interval:
         raise GeometryMismatchError("use solve_line_bound_states on the line")
@@ -454,8 +447,10 @@ def solve_interval_spectrum(spec: SystemSpec, n_levels: int = 10) -> Spectrum:
             levels.append(lv)
 
     need = n_levels - len(levels)
+    # min-max: level i (from 0, with multiplicity) is at most the Dirichlet
+    # level (lam pi ceil((i + 1) / 2) / l)^2, so k_max bounds every level asked for
     k_max = (n_levels + 2) * np.pi / l
-    for extension in range(7 if need > 0 else 0):
+    if need > 0:
         grid = np.unique(
             np.concatenate(
                 [
@@ -466,12 +461,8 @@ def solve_interval_spectrum(spec: SystemSpec, n_levels: int = 10) -> Spectrum:
         )
         _, pos_levels, nb = _scan_roots(spec, "positive", grid, floor, need)
         report["bracket_count"] += nb
-        if len(pos_levels) >= need or extension == 6:
-            report["window_exhausted"] = len(pos_levels) < need
-            report["window_extensions"] = extension
-            levels.extend(pos_levels)
-            break
-        k_max *= 1.6
+        report["window_exhausted"] = len(pos_levels) < need
+        levels.extend(pos_levels)
     levels.sort(key=lambda lv: lv.energy)
     window = (-((spec.lam * kappa_max) ** 2), (spec.lam * k_max) ** 2)
     return Spectrum(tuple(levels), window, report)
@@ -487,73 +478,43 @@ def solve_spectrum(spec: SystemSpec, n_levels: int = 10) -> Spectrum:
 def solve_line_bound_states(spec: SystemSpec) -> Spectrum:
     """All bound states on the line: decaying solutions e^{-kappa x}.
 
-    The matching matrix M(kappa) = (U - I) - i kappa L0 (U + I) is 2x2, so
-    det M is an exact quadratic in kappa; its positive real roots are the
-    only candidates and are computed in closed form.  A scan cannot replace
-    this: for diagonal U the matrix is diagonal and a root collapses a row
-    and a column at once, leaving no finite-width dip in any scaled residual.
-
-    A repeated root is taken as -c1/(2 c2) directly, since the quadratic
-    formula only locates it to sqrt(eps).  Eigenphases within about 1e-6 of
-    pi would put the root beyond the kappa cap and act as Dirichlet: no
-    bound state.
+    An eigenvector w of U with eigenvalue e^{i phi} meets the singularity
+    condition as w e^{-kappa x} with kappa = tan(phi/2) / L0, so each
+    eigenphase with a positive tangent binds one state.  The eigenphases come
+    from diagonalize_u2, as the classifier's do, so a ground energy and the
+    supercharge shift are read off the same phase.  An eigenvalue within
+    1e-9 of -1 is Dirichlet and binds nothing; kappas closer than
+    1e-9 max(1, kappa) form one level.
     """
     if spec.geometry.is_interval:
         raise GeometryMismatchError("use solve_interval_spectrum on an interval")
-    eye = np.eye(2, dtype=complex)
-    a = spec.U - eye
-    b = spec.U + eye
-    adj_a = np.trace(a) * eye - a
-    c2 = -spec.L0**2 * complex(np.linalg.det(b))
-    c1 = -1j * spec.L0 * complex(np.trace(adj_a @ b))
-    c0 = complex(np.linalg.det(a))
-    big = max(abs(c2), abs(c1), abs(c0))
-    candidates = []
-    if abs(c2) > 1e-14 * big:
-        disc = c1 * c1 - 4.0 * c2 * c0
-        mag = max(abs(c1) ** 2, 4.0 * abs(c2 * c0))
-        if mag == 0.0:
-            pass  # double root at zero: no bound state
-        elif abs(disc) <= 1e-14 * mag:
-            candidates = [-c1 / (2.0 * c2)]
+    v, d = diagonalize_u2(spec.U)
+    found = []
+    for j in range(2):
+        if abs(d[j, j] + 1.0) <= 1e-9:
+            continue
+        q = inverse_robin_length(np.angle(d[j, j]) % (2.0 * np.pi), spec.L0)
+        if q > 1e-9 / spec.L0:
+            found.append((q, np.conj(v[j])))
+    groups = []
+    for q, w in sorted(found, key=lambda f: f[0]):
+        if groups and abs(q - groups[-1][0]) < 1e-9 * max(1.0, q):
+            groups[-1][1].append(w)
         else:
-            sq = np.sqrt(disc)
-            u = -0.5 * (c1 + sq) if abs(c1 + sq) >= abs(c1 - sq) else -0.5 * (c1 - sq)
-            candidates = [u / c2, c0 / u]  # stable pairing avoids cancellation
-    elif abs(c1) > 1e-14 * big:
-        candidates = [-c0 / c1]
-    floor = 1e-9 / spec.L0
-    cap = 1e6 / spec.L0
-    roots = []
-    for r in candidates:
-        scale = max(abs(r), 1.0 / spec.L0)
-        if abs(r.imag) <= 1e-9 * scale and floor < r.real < cap:
-            q = float(r.real)
-            if all(abs(q - prev) > 1e-9 * max(1.0, q) for prev in roots):
-                roots.append(q)
-    roots.sort()
+            groups.append((q, [w]))
     levels = []
-    for q in roots:
-        states = _null_states(
-            spec,
-            _line_matrix(spec, q),
-            _line_matrix(spec, q, magnitudes=True),
-            lambda v, q=q: WaveFunction(
-                spec.geometry,
-                "negative",
-                q,
-                np.array([[v[0], 0.0], [v[1], 0.0]]),
-                spec.lam,
-            ),
+    for q, ws in groups:
+        coeffs = [np.array([[w[0], 0.0], [w[1], 0.0]]) for w in ws]
+        states = _orthonormalized(
+            [WaveFunction(spec.geometry, "negative", q, c, spec.lam) for c in coeffs]
         )
-        if states:
-            levels.append(Level(states[0].energy, "negative", q, len(states), tuple(states)))
+        levels.append(Level(states[0].energy, "negative", q, len(states), tuple(states)))
     levels.sort(key=lambda lv: lv.energy)
-    kappa_max = max(roots, default=0.0) + 1.0 / spec.L0
+    kappa_max = max((q for q, _ in groups), default=0.0) + 1.0 / spec.L0
     report = {
-        "candidate_count": len(roots),
-        "root_method": "quadratic-determinant",
-        "nullity_method": "scaled-svd",
+        "candidate_count": len(groups),
+        "root_method": "eigenphase",
+        "nullity_method": "eigenvector",
         "window_exhausted": False,
         "window_extensions": 0,
     }

@@ -20,7 +20,7 @@ from .classify import (
     SusyClassification,
     classify_system,
 )
-from .matkit import SIGMA2, pauli_combination, pauli_vector
+from .matkit import pauli_combination, pauli_vector
 from . import spectra
 from .system import (
     SystemSpec,
@@ -192,28 +192,15 @@ def deficiency_indices(spec: SystemSpec, g: float = 1.0) -> tuple[int, int]:
     sigma2-reduced charge q = -i lam d/dx sigma2.
 
     Each sigma2 eigenvector v with eigenvalue w forces Psi = v e^{sx} with
-    s = -(sign) g / (lam w).  On the interval both exponentials are
-    integrable; on the half line only the decaying one survives.  The
-    result is independent of the boundary parameters.
+    s = -(sign) g / (lam w).  For either sign, w = +-1 give one decaying
+    and one growing exponential.  On the interval both are integrable; on
+    the half line only the decaying one survives.  So the indices are (2, 2)
+    and (1, 1), independent of the boundary parameters.
     """
     if g <= 0:
         raise ValueError("g must be positive")
-    lam = spec.lam
-    eigpairs = (
-        (np.array([1.0, 1j]) / np.sqrt(2.0), 1.0),
-        (np.array([1.0, -1j]) / np.sqrt(2.0), -1.0),
-    )
-    counts = []
-    for sign in (1.0, -1.0):
-        n = 0
-        for vec, w in eigpairs:
-            s = -sign * g / (lam * w)
-            ode = -1j * lam * s * (SIGMA2 @ vec) - sign * 1j * g * vec
-            assert np.max(np.abs(ode)) <= 1e-12 * g
-            if spec.geometry.is_interval or s < 0:
-                n += 1
-        counts.append(n)
-    return counts[0], counts[1]
+    n = 2 if spec.geometry.is_interval else 1
+    return n, n
 
 
 def check_lower_bound(

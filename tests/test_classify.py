@@ -23,6 +23,7 @@ from singular_susy import (
     point_condition_residual,
     random_unitary_2x2,
     robin_matrix,
+    solve_spectrum,
     su2_from_euler,
     theta_for_scale,
 )
@@ -147,6 +148,23 @@ def test_line_families():
     assert cls.degree == "N2" and cls.goodness == "NotApplicable"
     none = classify_system(SystemSpec(Geometry.line(), np.eye(2, dtype=complex), None, 1.0, 1.0))
     assert none.degree == "none" and not none.charges
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
+@pytest.mark.parametrize("conjugated", [False, True])
+def test_line_theta_near_pi_is_good(eps, conjugated):
+    """As theta -> pi the bound state moves off to kappa = tan(theta/2)/L0;
+    the spectrum and the charges read the same eigenphase, so the ground
+    sits exactly at the SUSY bound -|b|^2."""
+    spec = robin_line(np.pi - eps)
+    if conjugated:
+        u = conjugate(su2_from_euler(0.7, 1.3), spec.U)
+        spec = SystemSpec(Geometry.line(), u, None, spec.lam, spec.L0)
+    spectrum = solve_spectrum(spec)
+    cls = classify_system(spec, spectrum)
+    assert cls.degree == "N2" and cls.goodness == "Good"
+    ground = spectrum.ground.energy
+    assert abs(cls.shift + ground) <= 1e-9 * abs(ground)
 
 
 def test_geometry_dispatch():

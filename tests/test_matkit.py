@@ -131,6 +131,12 @@ def test_diagonalize_u2_orders_minus_one_last():
     v, d = diagonalize_u2(u)
     assert abs(d[1, 1] + 1.0) < 1e-12
     assert abs(d[0, 0] - np.exp(0.8j)) < 1e-12
+    # both eigenvalues near -1: no digits lost to cancellation
+    w = su2_from_euler(0.7, 1.3)
+    near = np.exp(1j * (np.pi - 1e-7))
+    v, d = diagonalize_u2(w.conj().T @ np.diag([near, -1.0]) @ w)
+    assert abs(d[1, 1] + 1.0) < 1e-15
+    assert abs(d[0, 0] - near) < 1e-15
 
 
 def test_diagonalize_rejects_nonunitary():

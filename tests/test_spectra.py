@@ -17,6 +17,7 @@ from singular_susy import (
     half_parity_system,
     l2_norm,
     random_unitary_2x2,
+    robin_length,
     robin_matrix,
     secular_matrix,
     solve_interval_spectrum,
@@ -306,6 +307,21 @@ def test_line_bound_states_closed_form(rng):
         assert len(got) == len(want)
         for g, t in zip(got, want):
             assert abs(g - t) < 1e-9 * max(1.0, t)
+    # near-degenerate pairs kappa2 = kappa1 (1 + r): one doublet up to the
+    # merge tolerance, two simple levels beyond it, never a lost state
+    w = su2_from_euler(0.7, 1.3)
+    for r in (1e-11, 1e-10, 5e-10, 3e-9, 1e-8, 3e-8, 1e-7):
+        want = [np.tan(0.6), np.tan(0.6) * (1.0 + r)]
+        d = np.diag(np.exp(2j * np.arctan(want))).astype(complex)
+        spec = SystemSpec(Geometry.line(), w.conj().T @ d @ w, None, 1.0, 1.0)
+        levels = solve_line_bound_states(spec).levels
+        got = sorted(lv.wavenumber for lv in levels for _ in range(lv.multiplicity))
+        assert len(got) == 2
+        for g, t in zip(got, want):
+            assert abs(g - t) < 1e-9 * t
+        for lv in levels:
+            for st in lv.states:
+                assert connection_residual(spec, boundary_data(st, "origin")) < 1e-8
 
 
 def test_line_scalar_u_gives_doublet():
@@ -336,6 +352,42 @@ def test_line_no_bound_states():
     ):
         sp = solve_line_bound_states(SystemSpec(Geometry.line(), u, None, 1.0, 1.0))
         assert sp.levels == ()
+
+
+def _oracle_end(theta):
+    """Oracle encoding of a boundary phase at L0 = 1: Neumann, Dirichlet or Robin."""
+    t = theta % (2.0 * np.pi)
+    return None if t == 0.0 else 0.0 if t == np.pi else robin_length(t)
+
+
+@pytest.mark.parametrize(
+    "u_phases, dl_phases, l",
+    [
+        # a wall-bound state at kappa = tan(1.5) beside a Dirichlet origin
+        ((np.pi, np.pi), (-3.0, np.pi), 1.0),
+        # a wall-localised ground at kappa l = 6.56 in a |det| notch 1e-4 wide
+        ((0.0, 1.5617317901482228), (0.0, -2.5808678030993306), 1.8886081469554097),
+    ],
+    ids=["wall-bound", "wall-notch"],
+)
+def test_steep_sign_changes_are_roots(u_phases, dl_phases, l):
+    """Bisection lands on a root where |det| rises too steeply for any
+    absolute threshold; the state residuals, not |det|, decide."""
+    u = np.diag(np.exp(1j * np.array(u_phases))).astype(complex)
+    dl = np.diag(np.exp(1j * np.array(dl_phases))).astype(complex)
+    spec = SystemSpec(Geometry.interval(l), u, dl, 1.0, 1.0)
+    ends = [((_oracle_end(a), a), (_oracle_end(b), b)) for a, b in zip(u_phases, dl_phases)]
+    want = sorted(
+        _pooled_oracle(ends, l, n_levels=5),
+        key=lambda r: {"positive": 1, "zero": 0, "negative": -1}[r[0]] * r[1] ** 2,
+    )[:5]
+    assert want[0][0] == "negative"
+    got = solve_interval_spectrum(spec, n_levels=5).levels
+    assert len(got) == 5
+    for lv, (sector, q, mult) in zip(got, want):
+        assert lv.sector == sector
+        assert abs(lv.wavenumber - q) < 1e-9 * max(1.0, q)
+        assert lv.multiplicity == mult
 
 
 def test_oracle_zero_mode_flag():
