@@ -6,16 +6,17 @@ and the wall condition at x = l give four linear constraints.  Eigenvalues
 sit where the 4x4 secular matrix drops rank.  The row-normalized
 determinant is a fixed phase times a real function of the spectral
 parameter (self-adjointness), so simple roots are bracketed by sign
-changes of the de-phased samples and bisected once, while even-order roots
-are caught as dips of the magnitude with no sign change beside them and
-refined by golden section; the null space of the column-rescaled matrix
-then yields the eigenstates and the multiplicity.  Each scan grid, and
-each fine subscan for a twin beside a dip's root, is built and its
-determinants taken as one stack of matrices; brackets are refined lowest
-energy first, only until the requested number of levels is certain.  On
-the line each eigenvector of U with eigenvalue e^{i phi} binds one state
-e^{-kappa x} with kappa = tan(phi/2) / L0, read off the same diagonalization
-the classifier uses.
+changes of the de-phased samples and refined once each by ITP (bracketed,
+at most one step more than bisection), while even-order roots are caught
+as dips of the magnitude with no sign change beside them and refined by
+golden section; the null space of the column-rescaled matrix then yields
+the eigenstates and the multiplicity.  Each scan grid, and each fine
+subscan for a twin beside a dip's root, is built and its determinants
+taken as one stack of matrices; brackets are refined lowest energy first,
+only until the requested number of levels is certain.  On the line each
+eigenvector of U with eigenvalue e^{i phi} binds one state e^{-kappa x}
+with kappa = tan(phi/2) / L0, read off the same diagonalization the
+classifier uses.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from .system import (
 _ACCEPT = 1e-10  # at a minimum or at E = 0, normalized |det| below this is a rank drop
 _NULL_TOL = 1e-8  # singular values of the rescaled matrix below this are null
 _XTOL = 1e-13
+# ITP constants: truncation kappa1 / (b - a) and exponent kappa2, slack of n0 steps
+_ITP_K1, _ITP_K2, _ITP_N0 = 0.2, 2.0, 1
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -193,19 +196,41 @@ def _golden_min(f, a: float, b: float, xtol: float):
     return best
 
 
-def _bisect_root(g, a: float, b: float, ga: float, xtol: float) -> float:
-    """Bisect a sign change of the real secular value g on [a, b]."""
-    for _ in range(200):
-        if b - a <= xtol:
+def _itp_root(g, a: float, b: float, ga: float, gb: float, xtol: float) -> float:
+    """Refine a sign change of the real secular value g on [a, b], where
+    g(a) = ga and g(b) = gb, by ITP (interpolate, truncate, project;
+    Oliveira & Takahashi, ACM TOMS 47 (2020) 5).
+
+    The regula-falsi point is pushed toward the midpoint by
+    kappa1 (b - a)^kappa2, then projected into a ball about the midpoint
+    whose radius leaves room for only _ITP_N0 steps more than bisection
+    would take.  The bracket is kept at every step, at most
+    ceil(log2((b - a) / xtol)) + _ITP_N0 values of g are taken, and on a
+    smooth g the steps converge superlinearly.
+    """
+    eps = 0.5 * xtol
+    kappa1 = _ITP_K1 / (b - a)
+    n_max = max(int(np.ceil(np.log2((b - a) / xtol))), 0) + _ITP_N0
+    for j in range(n_max):
+        width = b - a
+        if width <= xtol:
             break
         mid = 0.5 * (a + b)
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if (ga < 0.0) != (gm < 0.0):
-            b = mid
+        xf = (gb * a - ga * b) / (gb - ga)
+        if not a < xf < b:  # rounding put the secant point off the bracket
+            xf = mid
+        sigma = 1.0 if mid >= xf else -1.0
+        delta = kappa1 * width**_ITP_K2
+        xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
+        r = eps * 2.0 ** (n_max - j) - 0.5 * width
+        x = xt if abs(xt - mid) <= r else mid - sigma * r
+        gx = g(x)
+        if gx == 0.0:
+            return x
+        if (ga < 0.0) == (gx < 0.0):
+            a, ga = x, gx
         else:
-            a, ga = mid, gm
+            b, gb = x, gx
     return 0.5 * (a + b)
 
 
@@ -234,32 +259,40 @@ def _scan_roots(spec: SystemSpec, sector: str, grid: np.ndarray, floor: float, n
 
     The whole grid is evaluated in one batch.  The samples are de-phased
     against the largest one, leaving a real function g.  Sign changes of g
-    bracket simple roots for bisection, which cannot lose one of two nearby
-    roots the way dip-hunting on |g| can; g is continuous, so a bisected
-    root is kept however steep |g| is there.  A strict interior minimum of
-    |g| beside a sign change is that cell's root, so bisection alone refines
-    it; a dip with no sign change on either side (an even-order root, or a
-    pair of simple roots inside one cell) is refined by golden section, and
-    its minimum is a root only below _ACCEPT.  A dip shallower than 1e-12
-    relative to its neighbours is rounding noise and is skipped.  Each root
-    found at a dip gets a fine subscan of the dip's bracket on both sides,
-    evaluated as one stack, for a hidden twin.
+    bracket simple roots, which cannot lose one of two nearby roots the way
+    dip-hunting on |g| can.  Each sign change is refined by _itp_root from
+    the two values of g already taken at its ends; ITP keeps the bracket and
+    g is continuous, so its root is kept however steep |g| is there.  A
+    strict interior minimum of |g| beside a sign change is that cell's root,
+    so the ITP refinement alone refines it; a dip with no sign change on
+    either side (an even-order root, or a pair of simple roots inside one
+    cell) is refined by golden section, and its minimum is a root only
+    below _ACCEPT.  A dip shallower than 1e-12 relative to its neighbours is
+    rounding noise and is skipped.  Each root found at a dip gets a fine
+    subscan of the dip's bracket on both sides, evaluated as one stack, for
+    a hidden twin.
 
     Brackets are refined in energy order (ascending k, descending kappa),
     and refinement stops before the first bracket lying wholly past the
     need-th level by more than the merge tolerance: nothing there can make
     or merge with a kept root.  Returns the refined roots, the levels of the
-    lowest `need` roots that have states, and the number of brackets refined.
+    lowest `need` roots that have states, the number of brackets refined,
+    and the number of one-wavenumber determinants taken (ITP and golden
+    section steps, and the |det| read at each root).
     """
 
+    evaluations = 0
+
     def d(q):
+        nonlocal evaluations
+        evaluations += 1
         return complex(_row_normalized_det(_interval_matrix(spec, sector, q))[0])
 
     vals = _row_normalized_det(_interval_matrix(spec, sector, grid))
     mags = np.abs(vals)
     top = float(mags.max())
     if top == 0.0:
-        return [], [], 0
+        return [], [], 0, 0
     ref = np.conj(vals[int(np.argmax(mags))]) / top
 
     def greal(q):
@@ -289,7 +322,7 @@ def _scan_roots(spec: SystemSpec, sector: str, grid: np.ndarray, floor: float, n
         nonlocal brackets
         for i in _sign_changes(gs):
             brackets += 1
-            q = _bisect_root(greal, qs[i], qs[i + 1], gs[i], _XTOL)
+            q = _itp_root(greal, qs[i], qs[i + 1], gs[i], gs[i + 1], _XTOL)
             keep(q, fabs(q), dip)
 
     # an edge sample is never refined: next to q = 0 a zero mode's tail
@@ -334,7 +367,7 @@ def _scan_roots(spec: SystemSpec, sector: str, grid: np.ndarray, floor: float, n
                 edge = low if descending else q
                 if len(levels) == need:
                     break
-    return [q for q, _, _ in merged], levels, brackets
+    return [q for q, _, _ in merged], levels, brackets, evaluations
 
 
 def _phase_fixed_state(wf: WaveFunction) -> WaveFunction:
@@ -416,6 +449,8 @@ def solve_interval_spectrum(spec: SystemSpec, n_levels: int = 10) -> Spectrum:
     floor = 1e-7 / l
     report = {
         "bracket_count": 0,
+        "root_method": "itp",
+        "secular_evaluations": 0,
         "refinement_tolerance": _XTOL,
         "nullity_method": "scaled-svd",
         "window_exhausted": False,
@@ -432,8 +467,9 @@ def solve_interval_spectrum(spec: SystemSpec, n_levels: int = 10) -> Spectrum:
                 ]
             )
         )
-        roots, levels, nb = _scan_roots(spec, "negative", grid, floor, n_levels)
+        roots, levels, nb, ne = _scan_roots(spec, "negative", grid, floor, n_levels)
         report["bracket_count"] += nb
+        report["secular_evaluations"] += ne
         # a root hugging the window edge means the window was too small
         if roots and attempt == 0 and max(roots) > kappa_max - 2.0 * kstep_n:
             kappa_max *= 2.0
@@ -459,8 +495,9 @@ def solve_interval_spectrum(spec: SystemSpec, n_levels: int = 10) -> Spectrum:
                 ]
             )
         )
-        _, pos_levels, nb = _scan_roots(spec, "positive", grid, floor, need)
+        _, pos_levels, nb, ne = _scan_roots(spec, "positive", grid, floor, need)
         report["bracket_count"] += nb
+        report["secular_evaluations"] += ne
         report["window_exhausted"] = len(pos_levels) < need
         levels.extend(pos_levels)
     levels.sort(key=lambda lv: lv.energy)

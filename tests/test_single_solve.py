@@ -70,7 +70,7 @@ def test_bound_states_that_fill_n_levels_skip_the_positive_scan(monkeypatch):
 
 
 def test_each_simple_root_is_refined_once(monkeypatch):
-    """The |det| dip beside a sign change is the bisected root itself: no
+    """The |det| dip beside a sign change is the ITP-refined root itself: no
     golden section, and its twin subscans are two stacked builds."""
     sizes, golden = [], []
     build, minimize = spectra._interval_matrix, spectra._golden_min
@@ -90,4 +90,13 @@ def test_each_simple_root_is_refined_once(monkeypatch):
     assert ground.sector == "negative" and abs(ground.wavenumber - 1.0) < 1e-12
     assert golden == []
     assert sizes.count(65) == 2
-    assert len(sizes) < 60
+    assert len(sizes) < 25
+
+
+def test_interval_report_names_itp_and_counts_evaluations():
+    """The report counts every one-wavenumber determinant: matched Robin
+    with theta = pi/2 at n_levels=1 refines one root by ITP and reads its
+    |det| once."""
+    report = spectra.solve_interval_spectrum(matched_robin_interval(np.pi / 2), 1).solver_report
+    assert report["root_method"] == "itp"
+    assert 0 < report["secular_evaluations"] <= 15

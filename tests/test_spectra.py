@@ -1,11 +1,14 @@
 """Spectral solver tests, anchored to an independent bisection oracle."""
 
 import copy
+import math
 import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from singular_susy import (
     Geometry,
@@ -371,8 +374,9 @@ def _oracle_end(theta):
     ids=["wall-bound", "wall-notch"],
 )
 def test_steep_sign_changes_are_roots(u_phases, dl_phases, l):
-    """Bisection lands on a root where |det| rises too steeply for any
-    absolute threshold; the state residuals, not |det|, decide."""
+    """The bracketed refinement lands on a root where |det| rises too
+    steeply for any absolute threshold; the state residuals, not |det|,
+    decide."""
     u = np.diag(np.exp(1j * np.array(u_phases))).astype(complex)
     dl = np.diag(np.exp(1j * np.array(dl_phases))).astype(complex)
     spec = SystemSpec(Geometry.interval(l), u, dl, 1.0, 1.0)
@@ -532,3 +536,88 @@ def test_solved_spectrum_round_trips_bitwise():
     )
     for other in (pickle.loads(pickle.dumps(spectrum)), copy.deepcopy(spectrum), rebuilt):
         assert content(other) == content(spectrum)
+
+
+def _counted(g):
+    """g, and the list of points it was evaluated at."""
+    calls = []
+
+    def f(q):
+        calls.append(q)
+        return g(q)
+
+    return f, calls
+
+
+def _bisection_steps(a, b):
+    """Steps plain bisection takes to shrink [a, b] to _XTOL."""
+    return math.ceil(math.log2((b - a) / spectra._XTOL))
+
+
+def _itp_on(g, a, b):
+    f, calls = _counted(g)
+    return spectra._itp_root(f, a, b, g(a), g(b), spectra._XTOL), calls
+
+
+def test_itp_refines_a_smooth_root_in_few_steps():
+    """A smooth simple root in a grid cell 0.06 wide, where bisection takes
+    40 steps: superlinear convergence needs at most 15."""
+    a, b = 1.0, 1.06
+    for root in np.linspace(a, b, 103)[1:-1]:
+        q, calls = _itp_on(lambda q: math.exp(q) * math.sin(3.0 * (q - root)), a, b)
+        assert abs(q - root) <= spectra._XTOL, root
+        assert len(calls) <= 15, root
+
+
+def test_itp_keeps_bisection_bound_in_a_steep_notch():
+    """A notch 1e-4 wide inside the cell defeats interpolation until it is
+    resolved: the count stays within one step of bisection's, and once the
+    notch is resolved (about log2(0.06 / 1e-4) = 9 steps) the secant
+    converges, so no root costs more than 25."""
+    a, b = 1.0, 1.06
+    for root in np.linspace(a, b, 1001)[1:-1]:
+        q, calls = _itp_on(lambda q: math.tanh(1e4 * (q - root)), a, b)
+        assert abs(q - root) <= spectra._XTOL, root
+        assert len(calls) <= _bisection_steps(a, b) + 1, root
+        assert len(calls) <= 25, root
+
+
+@given(
+    a=st.floats(0.0, 50.0),
+    log_width=st.floats(-6.0, 0.0),
+    at=st.floats(1e-3, 1.0 - 1e-3),
+    log_slope=st.floats(0.0, 6.0),
+    wall=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_itp_root_stays_in_bracket(a, log_width, at, log_slope, wall):
+    """Random brackets around a root of a steep step (tanh) or a one-sided
+    exponential wall, where a regula-falsi end can stall: the root is found
+    within _XTOL inside [a, b], within one step of bisection's count."""
+    b = a + 10.0**log_width
+    root, slope = a + at * (b - a), 10.0**log_slope
+
+    def g(q):
+        x = slope * (q - root)
+        return math.expm1(min(x, 700.0)) if wall else math.tanh(x)
+
+    assume(g(a) < 0.0 < g(b))
+    q, calls = _itp_on(g, a, b)
+    assert a <= q <= b
+    assert abs(q - root) <= spectra._XTOL
+    assert len(calls) <= _bisection_steps(a, b) + 1
+
+
+def test_itp_returns_an_exact_zero_as_is():
+    """|g(a)| is so small beside g(b) = e^300 that the regula-falsi point
+    rounds onto a; the guard takes the midpoint, where g is exactly zero, and that
+    point is returned after one evaluation."""
+    a, b = 1.0, 1.06
+    mid = 0.5 * (a + b)
+
+    def g(q):
+        return math.expm1(1e4 * (q - mid))
+
+    assert (g(b) * a - g(a) * b) / (g(b) - g(a)) == a
+    q, calls = _itp_on(g, a, b)
+    assert calls == [mid] and q == mid
