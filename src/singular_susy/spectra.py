@@ -42,7 +42,7 @@ from .system import (
 
 _ACCEPT = 1e-10  # at a minimum or at E = 0, normalized |det| below this is a rank drop
 _NULL_TOL = 1e-8  # singular values of the rescaled matrix below this are null
-_XTOL = 1e-13
+_XTOL = 1e-13  # refinement width, relative: _XTOL max(1, q) at the bracket's low end q
 # ITP constants: truncation kappa1 / (b - a) and exponent kappa2, slack of n0 steps
 _ITP_K1, _ITP_K2, _ITP_N0 = 0.2, 2.0, 1
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -83,39 +83,37 @@ class Spectrum:
 def _interval_matrix(
     spec: SystemSpec, sector: str, qs, magnitudes: bool = False
 ) -> np.ndarray:
-    # One 4x4 secular matrix per wavenumber in qs, stacked.  Each boundary
-    # with matrix M gives the row pair (M - I) (x) v + i L0 (M + I) (x) d from
-    # the basis values v and derivatives d at that end.  magnitudes=True sums
-    # |term| instead of term: a cancellation-free size reference for deciding
-    # when a column of the true matrix has vanished.
-    # Zero-padded blocks and a matmul, not np.kron: kron gives the same values
-    # but other signed zeros, and LAPACK's Householder steps take their sign
-    # from the leading entry, zeros included.
+    # One 4x4 secular matrix per wavenumber in qs, stacked.  Each end's
+    # boundary form (spec.form) gives the row pair
+    #   m[:, 2 end + r, 2 c + j] = (M - I)[r, c] v_j + i L0 (M + I)[r, c] d_j
+    # from the basis values v and derivatives d at that end.  magnitudes=True
+    # puts |.| on every factor (spec.form_size): a cancellation-free size
+    # reference for deciding when a column of the true matrix has vanished.
+    # Broadcast, not zero-padded blocks and matmuls, at half the cost and
+    # with bitwise the same entries (tests/test_spectra.py keeps the matmul
+    # build as the reference): the + 0.0 makes an exact zero +0, as a matmul
+    # summing from zero does, and signed zeros matter because LAPACK's
+    # Householder steps take their sign from the leading entry.
     qs = np.atleast_1d(np.asarray(qs, dtype=float))[:, None]
     ends = np.array([0.0, spec.geometry.l])
-    if sector == "zero":
-        a, b, d0, d1 = np.ones(2), ends, np.zeros(2), np.ones(2)
+    if sector == "zero":  # 1 and x, with derivatives 0 and 1
+        a = np.ones((len(qs), 2))
+        b, d0, d1 = a * ends, np.zeros_like(a), a
     else:
-        # derivative_rep(...).T @ (a, b) written out, its 0 * a term kept for the signed zeros
+        # derivative_rep(...).T @ (a, b) written out
         a, b = _basis_values(spec.geometry, sector, qs, ends)
-        d0 = 0.0 * a - qs * b if sector == "positive" else 0.0 * a + qs * b
-        d1 = qs * a
-    # basis values and derivatives, indexed [end, q, function]
-    v, d = np.array([a, b]).T, np.array([d0, d1]).T
-    eye = np.eye(2, dtype=complex)
-    m = np.zeros((len(qs), 4, 4), dtype=complex)
-    vals = np.zeros((len(qs), 2, 4), dtype=complex)
-    ders = np.zeros((len(qs), 2, 4), dtype=complex)
-    for end, (mat, row) in enumerate(((spec.U, 0), (spec.Dl, 2))):
-        vals[:, 0, :2] = vals[:, 1, 2:] = v[end]
-        ders[:, 0, :2] = ders[:, 1, 2:] = d[end]
-        if magnitudes:
-            m[:, row : row + 2] = np.abs(mat - eye) @ np.abs(vals) + spec.L0 * np.abs(
-                mat + eye
-            ) @ np.abs(ders)
-        else:
-            m[:, row : row + 2] = (mat - eye) @ vals + 1j * spec.L0 * (mat + eye) @ ders
-    return m
+        d0, d1 = (-qs * b if sector == "positive" else qs * b), qs * a
+    # basis values and derivatives, indexed [q, end, 1, 1, function]
+    v = np.stack([a, b], axis=-1)[:, :, None, None, :]
+    d = np.stack([d0, d1], axis=-1)[:, :, None, None, :]
+    if magnitudes:
+        (minus, plus), v, d = spec.form_size, np.abs(v), np.abs(d)
+    else:
+        minus, plus = spec.form
+    # [q, end, row, component, function] -> [q, 2 end + row, 2 component + function]
+    m = np.empty((len(qs), 2, 2, 2, 2), dtype=complex)
+    m[...] = minus[..., None] * v + plus[..., None] * d + 0.0
+    return m.reshape(len(qs), 4, 4)
 
 
 def secular_matrix(spec: SystemSpec, energy: float) -> np.ndarray:
@@ -164,12 +162,7 @@ def _row_normalized_det(m: np.ndarray) -> np.ndarray:
     fixed phase times a real function of the spectral parameter, which is
     what lets the scan bracket simple roots by sign changes.
     """
-    norms = np.linalg.norm(m, axis=-1)
-    vanished = (norms == 0.0).any(axis=-1)
-    norms[vanished] = 1.0
-    dets = np.linalg.det(m / norms[..., None])
-    dets[vanished] = 0.0
-    return dets
+    return np.linalg.det(m / np.linalg.norm(m, axis=-1)[..., None])
 
 
 def _golden_min(f, a: float, b: float, xtol: float):
@@ -253,7 +246,9 @@ def _sign_changes(g: np.ndarray) -> np.ndarray:
     return np.flatnonzero((g[:-1] != 0.0) & (g[1:] != 0.0) & (neg[:-1] != neg[1:]))
 
 
-def _scan_roots(spec: SystemSpec, sector: str, grid: np.ndarray, floor: float, need: int):
+def _scan_roots(
+    spec: SystemSpec, sector: str, grid: np.ndarray, floor: float, need: int, counts: dict
+):
     """Locate zeros of the secular determinant over the grid, lowest energy
     first, and build the levels of the lowest `need` of them.
 
@@ -275,24 +270,27 @@ def _scan_roots(spec: SystemSpec, sector: str, grid: np.ndarray, floor: float, n
     Brackets are refined in energy order (ascending k, descending kappa),
     and refinement stops before the first bracket lying wholly past the
     need-th level by more than the merge tolerance: nothing there can make
-    or merge with a kept root.  Returns the refined roots, the levels of the
-    lowest `need` roots that have states, the number of brackets refined,
-    and the number of one-wavenumber determinants taken (ITP and golden
-    section steps, and the |det| read at each root).
+    or merge with a kept root.  Returns the refined roots and the levels of
+    the lowest `need` roots that have states.  Adds to counts the brackets
+    refined ("bracket_count"), the one-wavenumber determinants taken by ITP
+    and golden-section steps and at each root's |det|
+    ("secular_evaluations"), and the wavenumbers evaluated in stacks, grid
+    and twin subscans ("stacked_evaluations").
     """
 
-    evaluations = 0
-
     def d(q):
-        nonlocal evaluations
-        evaluations += 1
+        counts["secular_evaluations"] += 1
         return complex(_row_normalized_det(_interval_matrix(spec, sector, q))[0])
 
-    vals = _row_normalized_det(_interval_matrix(spec, sector, grid))
+    def stacked(qs):
+        counts["stacked_evaluations"] += len(qs)
+        return _row_normalized_det(_interval_matrix(spec, sector, qs))
+
+    vals = stacked(grid)
     mags = np.abs(vals)
     top = float(mags.max())
     if top == 0.0:
-        return [], [], 0, 0
+        return [], []
     ref = np.conj(vals[int(np.argmax(mags))]) / top
 
     def greal(q):
@@ -303,7 +301,6 @@ def _scan_roots(spec: SystemSpec, sector: str, grid: np.ndarray, floor: float, n
 
     g = np.real(vals * ref)
     found = []
-    brackets = 0
 
     def keep(q, fq, dip):
         if q <= floor:
@@ -316,13 +313,12 @@ def _scan_roots(spec: SystemSpec, sector: str, grid: np.ndarray, floor: float, n
         for lo, hi in ((dip[0], q - eps), (q + eps, dip[1])):
             if hi > lo:
                 qs = np.linspace(lo, hi, 65)
-                hunt(qs, np.real(_row_normalized_det(_interval_matrix(spec, sector, qs)) * ref))
+                hunt(qs, np.real(stacked(qs) * ref))
 
     def hunt(qs, gs, dip=None):
-        nonlocal brackets
         for i in _sign_changes(gs):
-            brackets += 1
-            q = _itp_root(greal, qs[i], qs[i + 1], gs[i], gs[i + 1], _XTOL)
+            counts["bracket_count"] += 1
+            q = _itp_root(greal, qs[i], qs[i + 1], gs[i], gs[i + 1], _XTOL * max(1.0, qs[i]))
             keep(q, fabs(q), dip)
 
     # an edge sample is never refined: next to q = 0 a zero mode's tail
@@ -350,8 +346,8 @@ def _scan_roots(spec: SystemSpec, sector: str, grid: np.ndarray, floor: float, n
             break
         bracket = (lo, hi) if dip else None
         if c is None:
-            brackets += 1
-            q, fq = _golden_min(fabs, lo, hi, _XTOL)
+            counts["bracket_count"] += 1
+            q, fq = _golden_min(fabs, lo, hi, _XTOL * max(1.0, lo))
             if fq < _ACCEPT:
                 keep(q, fq, bracket)
         else:
@@ -367,7 +363,7 @@ def _scan_roots(spec: SystemSpec, sector: str, grid: np.ndarray, floor: float, n
                 edge = low if descending else q
                 if len(levels) == need:
                     break
-    return [q for q, _, _ in merged], levels, brackets, evaluations
+    return [q for q, _, _ in merged], levels
 
 
 def _phase_fixed_state(wf: WaveFunction) -> WaveFunction:
@@ -451,7 +447,8 @@ def solve_interval_spectrum(spec: SystemSpec, n_levels: int = 10) -> Spectrum:
         "bracket_count": 0,
         "root_method": "itp",
         "secular_evaluations": 0,
-        "refinement_tolerance": _XTOL,
+        "stacked_evaluations": 0,
+        "refinement_tolerance": "%g * max(1, q)" % _XTOL,
         "nullity_method": "scaled-svd",
         "window_exhausted": False,
         "window_extensions": 0,
@@ -467,9 +464,7 @@ def solve_interval_spectrum(spec: SystemSpec, n_levels: int = 10) -> Spectrum:
                 ]
             )
         )
-        roots, levels, nb, ne = _scan_roots(spec, "negative", grid, floor, n_levels)
-        report["bracket_count"] += nb
-        report["secular_evaluations"] += ne
+        roots, levels = _scan_roots(spec, "negative", grid, floor, n_levels, report)
         # a root hugging the window edge means the window was too small
         if roots and attempt == 0 and max(roots) > kappa_max - 2.0 * kstep_n:
             kappa_max *= 2.0
@@ -495,9 +490,7 @@ def solve_interval_spectrum(spec: SystemSpec, n_levels: int = 10) -> Spectrum:
                 ]
             )
         )
-        _, pos_levels, nb, ne = _scan_roots(spec, "positive", grid, floor, need)
-        report["bracket_count"] += nb
-        report["secular_evaluations"] += ne
+        _, pos_levels = _scan_roots(spec, "positive", grid, floor, need, report)
         report["window_exhausted"] = len(pos_levels) < need
         levels.extend(pos_levels)
     levels.sort(key=lambda lv: lv.energy)

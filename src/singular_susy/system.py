@@ -14,6 +14,7 @@ are all exact arithmetic on 2x2 coefficient arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -125,14 +126,18 @@ def robin_matrix(theta: float) -> np.ndarray:
     return np.diag([np.exp(1j * t), -1.0]).astype(complex)
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 def _readonly_complex(arr, shape) -> np.ndarray:
     out = np.array(arr, dtype=complex)
     if out.shape != shape:
         raise ValueError("expected array of shape %s" % (shape,))
     if not np.all(np.isfinite(out)):
         raise ValueError("array entries must be finite")
-    out.setflags(write=False)
-    return out
+    return _frozen(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,6 +177,30 @@ class SystemSpec:
                 raise ValueError("%s must be positive and finite" % name)
             object.__setattr__(self, name, v)
 
+    def __reduce__(self):
+        # rebuild from the fields, so the cached forms below are never copied
+        return (type(self), (self.geometry, self.U, self.Dl, self.lam, self.L0))
+
+    def _ends(self) -> np.ndarray:
+        """U, and then Dl on an interval, stacked."""
+        return np.array([self.U] if self.Dl is None else [self.U, self.Dl])
+
+    @cached_property
+    def form(self) -> tuple:
+        """The boundary form (M - I) Psi + i L0 (M + I) Psi' at each end,
+        M = U and then Dl, as the read-only block stacks
+        (M - I, i L0 (M + I)) indexed [end, row, component]; computed once
+        per system, on first use."""
+        mats = self._ends()
+        return _frozen(mats - IDENTITY), _frozen(1j * self.L0 * (mats + IDENTITY))
+
+    @cached_property
+    def form_size(self) -> tuple:
+        """form with |.| on every factor, (|M - I|, L0 |M + I|): a size
+        reference that never cancels."""
+        mats = self._ends()
+        return _frozen(np.abs(mats - IDENTITY)), _frozen(self.L0 * np.abs(mats + IDENTITY))
+
     @property
     def l(self) -> float | None:
         return self.geometry.l
@@ -189,9 +218,10 @@ class BoundaryData:
         object.__setattr__(self, "dpsi", _readonly_complex(self.dpsi, (2,)))
 
 
-def _form_residual(m: np.ndarray, b: BoundaryData, L0: float) -> float:
-    lhs = (m - IDENTITY) @ b.psi + 1j * L0 * (m + IDENTITY) @ b.dpsi
-    scale = max(np.linalg.norm(b.psi), L0 * np.linalg.norm(b.dpsi))
+def _form_residual(spec: SystemSpec, end: int, b: BoundaryData) -> float:
+    minus, plus = spec.form
+    lhs = minus[end] @ b.psi + plus[end] @ b.dpsi
+    scale = max(np.linalg.norm(b.psi), spec.L0 * np.linalg.norm(b.dpsi))
     if scale == 0.0:
         return 0.0
     return float(np.linalg.norm(lhs) / scale)
@@ -199,14 +229,14 @@ def _form_residual(m: np.ndarray, b: BoundaryData, L0: float) -> float:
 
 def connection_residual(spec: SystemSpec, b: BoundaryData) -> float:
     """Scale-free violation of the singularity condition at x = +0."""
-    return _form_residual(spec.U, b, spec.L0)
+    return _form_residual(spec, 0, b)
 
 
 def wall_residual(spec: SystemSpec, b: BoundaryData) -> float:
     """Scale-free violation of the wall condition at x = l."""
     if not spec.geometry.is_interval:
         raise GeometryMismatchError("wall condition exists only on an interval")
-    return _form_residual(spec.Dl, b, spec.L0)
+    return _form_residual(spec, 1, b)
 
 
 @dataclass(frozen=True, eq=False, slots=True)

@@ -71,7 +71,8 @@ def test_bound_states_that_fill_n_levels_skip_the_positive_scan(monkeypatch):
 
 def test_each_simple_root_is_refined_once(monkeypatch):
     """The |det| dip beside a sign change is the ITP-refined root itself: no
-    golden section, and its twin subscans are two stacked builds."""
+    golden section, and its twin subscans are two stacked builds, which the
+    report counts with the grid."""
     sizes, golden = [], []
     build, minimize = spectra._interval_matrix, spectra._golden_min
 
@@ -85,12 +86,15 @@ def test_each_simple_root_is_refined_once(monkeypatch):
 
     monkeypatch.setattr(spectra, "_interval_matrix", spy_build)
     monkeypatch.setattr(spectra, "_golden_min", spy_golden)
-    ground = spectra.solve_interval_spectrum(matched_robin_interval(np.pi / 2), 1).ground
+    spectrum = spectra.solve_interval_spectrum(matched_robin_interval(np.pi / 2), 1)
+    ground = spectrum.ground
     # matched Robin length L = cot(pi/4) = 1: ground state e^{-x}
     assert ground.sector == "negative" and abs(ground.wavenumber - 1.0) < 1e-12
     assert golden == []
     assert sizes.count(65) == 2
     assert len(sizes) < 25
+    # the first build is the kappa grid
+    assert spectrum.solver_report["stacked_evaluations"] == sizes[0] + 130
 
 
 def test_interval_report_names_itp_and_counts_evaluations():

@@ -31,6 +31,7 @@ from singular_susy import (
     wf_inner,
 )
 from singular_susy import spectra
+from singular_susy.system import _basis_values
 
 from families import (
     crossed_robin_interval,
@@ -363,6 +364,20 @@ def _oracle_end(theta):
     return None if t == 0.0 else 0.0 if t == np.pi else robin_length(t)
 
 
+def _diagonal_solve(u_phases, dl_phases, l, n_levels):
+    """The solver's spectrum of a diagonal system at L0 = 1, and the lowest
+    n_levels oracle rows (sector, q, multiplicity) it must reproduce."""
+    u = np.diag(np.exp(1j * np.array(u_phases))).astype(complex)
+    dl = np.diag(np.exp(1j * np.array(dl_phases))).astype(complex)
+    spec = SystemSpec(Geometry.interval(l), u, dl, 1.0, 1.0)
+    ends = [((_oracle_end(a), a), (_oracle_end(b), b)) for a, b in zip(u_phases, dl_phases)]
+    want = sorted(
+        _pooled_oracle(ends, l, n_levels=n_levels),
+        key=lambda r: {"positive": 1, "zero": 0, "negative": -1}[r[0]] * r[1] ** 2,
+    )[:n_levels]
+    return solve_interval_spectrum(spec, n_levels=n_levels), want
+
+
 @pytest.mark.parametrize(
     "u_phases, dl_phases, l",
     [
@@ -377,21 +392,29 @@ def test_steep_sign_changes_are_roots(u_phases, dl_phases, l):
     """The bracketed refinement lands on a root where |det| rises too
     steeply for any absolute threshold; the state residuals, not |det|,
     decide."""
-    u = np.diag(np.exp(1j * np.array(u_phases))).astype(complex)
-    dl = np.diag(np.exp(1j * np.array(dl_phases))).astype(complex)
-    spec = SystemSpec(Geometry.interval(l), u, dl, 1.0, 1.0)
-    ends = [((_oracle_end(a), a), (_oracle_end(b), b)) for a, b in zip(u_phases, dl_phases)]
-    want = sorted(
-        _pooled_oracle(ends, l, n_levels=5),
-        key=lambda r: {"positive": 1, "zero": 0, "negative": -1}[r[0]] * r[1] ** 2,
-    )[:5]
+    spectrum, want = _diagonal_solve(u_phases, dl_phases, l, n_levels=5)
     assert want[0][0] == "negative"
-    got = solve_interval_spectrum(spec, n_levels=5).levels
+    got = spectrum.levels
     assert len(got) == 5
     for lv, (sector, q, mult) in zip(got, want):
         assert lv.sector == sector
         assert abs(lv.wavenumber - q) < 1e-9 * max(1.0, q)
         assert lv.multiplicity == mult
+
+
+def test_refinement_tolerance_is_relative():
+    """The refinement width is 1e-13 max(1, q): from q = 512 on, where
+    ulp(q) exceeds 1e-13, an absolute width could never be reached and each
+    root spent the whole ITP budget.  On l = 0.01 the 20th level sits at
+    k = 2827, and the absolute width took 108 evaluations per level."""
+    spectrum, want = _diagonal_solve((0.7, 2.0), (-1.1, 0.4), 0.01, n_levels=20)
+    got = spectrum.levels
+    assert len(got) == 20 and got[-1].wavenumber > 512.0
+    for lv, (sector, q, mult) in zip(got, want):
+        assert lv.sector == sector
+        assert abs(lv.wavenumber - q) < 1e-12 * q
+        assert lv.multiplicity == mult
+    assert spectrum.solver_report["secular_evaluations"] <= 60 * len(got)
 
 
 def test_oracle_zero_mode_flag():
@@ -462,15 +485,50 @@ def test_fewer_levels_are_the_lowest_of_more(rng):
     assert near_pair and doublet and two_bound
 
 
+def _padded_matmul_build(spec, sector, qs, magnitudes):
+    """The secular stack from zero-padded (q, 2, 4) blocks and matmuls: the
+    reference whose entries, signed zeros included, the broadcast build
+    reproduces."""
+    qs = np.atleast_1d(np.asarray(qs, dtype=float))[:, None]
+    ends = np.array([0.0, spec.geometry.l])
+    if sector == "zero":
+        a, b, d0, d1 = np.ones(2), ends, np.zeros(2), np.ones(2)
+    else:
+        a, b = _basis_values(spec.geometry, sector, qs, ends)
+        d0 = 0.0 * a - qs * b if sector == "positive" else 0.0 * a + qs * b
+        d1 = qs * a
+    v, d = np.array([a, b]).T, np.array([d0, d1]).T
+    eye = np.eye(2, dtype=complex)
+    m = np.zeros((len(qs), 4, 4), dtype=complex)
+    vals = np.zeros((len(qs), 2, 4), dtype=complex)
+    ders = np.zeros((len(qs), 2, 4), dtype=complex)
+    for end, (mat, row) in enumerate(((spec.U, 0), (spec.Dl, 2))):
+        vals[:, 0, :2] = vals[:, 1, 2:] = v[end]
+        ders[:, 0, :2] = ders[:, 1, 2:] = d[end]
+        if magnitudes:
+            m[:, row : row + 2] = np.abs(mat - eye) @ np.abs(vals) + spec.L0 * np.abs(
+                mat + eye
+            ) @ np.abs(ders)
+        else:
+            m[:, row : row + 2] = (mat - eye) @ vals + 1j * spec.L0 * (mat + eye) @ ders
+    return m
+
+
 def test_stacked_secular_matrices_match_single_builds(rng):
     """Each slice of a batched build and its determinant is bitwise the
-    single-wavenumber build, in every sector and both modes."""
+    single-wavenumber build, in every sector and both modes, and the stack
+    is bitwise the zero-padded matmul build, also where a diagonal U leaves
+    exact zeros."""
     for trial in range(200):
         l = rng.uniform(0.2, 4.0)
         dl = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2)))
+        if trial % 4:
+            u = random_unitary_2x2(rng)
+        else:  # Neumann, Dirichlet or Robin components: exact zeros off the diagonal
+            u = np.diag(np.exp(1j * rng.choice([0.0, np.pi, 1.0, -2.0], 2)))
         spec = SystemSpec(
             Geometry.interval(l),
-            random_unitary_2x2(rng),
+            u,
             dl,
             rng.uniform(0.5, 2.0),
             rng.uniform(0.1, 5.0),
@@ -479,6 +537,7 @@ def test_stacked_secular_matrices_match_single_builds(rng):
         qs = np.zeros(1) if sector == "zero" else rng.uniform(1e-4, 30.0, 8) / l
         magnitudes = bool(trial % 2)
         stack = spectra._interval_matrix(spec, sector, qs, magnitudes=magnitudes)
+        assert stack.tobytes() == _padded_matmul_build(spec, sector, qs, magnitudes).tobytes()
         dets = spectra._row_normalized_det(stack)
         for i, q in enumerate(qs):
             one = spectra._interval_matrix(spec, sector, q, magnitudes=magnitudes)

@@ -1,9 +1,14 @@
 """Tests for the system layer: geometry, boundary data, wavefunctions."""
 
+import copy
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from singular_susy import (
+    IDENTITY,
     Geometry,
     GeometryMismatchError,
     NotDiagonalError,
@@ -31,7 +36,13 @@ from singular_susy import (
     wf_inner,
 )
 
-from families import matched_robin_interval
+from families import (
+    crossed_robin_interval,
+    matched_robin_interval,
+    reflected_crossed_interval,
+    robin_line,
+    simple_charge_interval,
+)
 
 
 def random_wf(rng, geometry, sector=None):
@@ -225,3 +236,46 @@ def test_wall_residual_dirichlet():
     spec = SystemSpec(geo, np.eye(2, dtype=complex), -np.eye(2, dtype=complex), 1.0, 1.0)
     wf = WaveFunction(geo, "positive", np.pi, np.array([[0.0, 1.0], [0.0, 1.0]]), 1.0)
     assert wall_residual(spec, boundary_data(wf, "wall")) < 1e-12
+
+
+def _form_reference(m, b, L0):
+    """The boundary-form residual written out from the boundary matrix m."""
+    lhs = (m - IDENTITY) @ b.psi + 1j * L0 * (m + IDENTITY) @ b.dpsi
+    scale = max(np.linalg.norm(b.psi), L0 * np.linalg.norm(b.dpsi))
+    return float(np.linalg.norm(lhs) / scale)
+
+
+def test_boundary_form_is_derived_from_the_fields(rng):
+    """SystemSpec.form and form_size are derived from U, Dl and L0 and
+    cached: dataclasses.replace, pickle and deepcopy rebuild them instead of
+    copying them, they are always read-only, and the residuals read from
+    them are bitwise the form written from U and Dl."""
+    systems = [
+        matched_robin_interval(2.0, l=1.3, L0=0.7),
+        crossed_robin_interval(-0.7, L0=2.5),
+        reflected_crossed_interval(-1.4, lam=1.7, L0=0.3),
+        simple_charge_interval(0.9, nu=0.4, L0=1.9),
+        robin_line(0.6, L0=3.1),
+    ]
+    # computed once: a second read is the cached pair, which replace must not carry over
+    assert all(s.form is s.form and s.form_size is s.form_size for s in systems)
+    systems += [replace(spec, U=random_unitary_2x2(rng), L0=0.45) for spec in systems]
+    for spec in systems:
+        mats = [spec.U] + ([spec.Dl] if spec.geometry.is_interval else [])
+        for other in (spec, pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            minus, plus = other.form
+            size_minus, size_plus = other.form_size
+            for block in (minus, plus, size_minus, size_plus):
+                assert block.shape == (len(mats), 2, 2) and not block.flags.writeable
+            for end, m in enumerate(mats):
+                assert minus[end].tobytes() == (m - IDENTITY).tobytes()
+                assert plus[end].tobytes() == (1j * spec.L0 * (m + IDENTITY)).tobytes()
+                assert size_minus[end].tobytes() == np.abs(m - IDENTITY).tobytes()
+                assert size_plus[end].tobytes() == (spec.L0 * np.abs(m + IDENTITY)).tobytes()
+        for _ in range(10):
+            wf = random_wf(rng, spec.geometry)
+            b = boundary_data(wf, "origin")
+            assert connection_residual(spec, b) == _form_reference(spec.U, b, spec.L0)
+            if spec.geometry.is_interval:
+                b = boundary_data(wf, "wall")
+                assert wall_residual(spec, b) == _form_reference(spec.Dl, b, spec.L0)
