@@ -87,7 +87,7 @@ def euler_angles_of(v) -> tuple[float, float]:
 
 
 def _phase_fixed(vec: np.ndarray) -> np.ndarray:
-    """Rotate a 2-vector's overall phase so its largest entry is real > 0."""
+    """Rotate a vector's overall phase so its largest entry is real > 0."""
     i = int(np.argmax(np.abs(vec)))
     phase = vec[i] / abs(vec[i])
     return vec / phase

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GeometryMismatchError
-from .matkit import diagonalize_u2
+from .matkit import _phase_fixed, diagonalize_u2
 from .system import (
     SystemSpec,
     WaveFunction,
@@ -270,8 +270,8 @@ def _scan_roots(
     Brackets are refined in energy order (ascending k, descending kappa),
     and refinement stops before the first bracket lying wholly past the
     need-th level by more than the merge tolerance: nothing there can make
-    or merge with a kept root.  Returns the refined roots and the levels of
-    the lowest `need` roots that have states.  Adds to counts the brackets
+    or merge with a kept root.  Returns the levels of the lowest `need`
+    roots that have states.  Adds to counts the brackets
     refined ("bracket_count"), the one-wavenumber determinants taken by ITP
     and golden-section steps and at each root's |det|
     ("secular_evaluations"), and the wavenumbers evaluated in stacks, grid
@@ -290,7 +290,7 @@ def _scan_roots(
     mags = np.abs(vals)
     top = float(mags.max())
     if top == 0.0:
-        return [], []
+        return []
     ref = np.conj(vals[int(np.argmax(mags))]) / top
 
     def greal(q):
@@ -338,7 +338,7 @@ def _scan_roots(
     cells = list(cells.values()) + dips
     descending = sector == "negative"
     cells.sort(key=lambda c: -c[1] if descending else c[0])
-    built, levels, merged, edge = {}, [], [], 0.0
+    built, levels, edge = {}, [], 0.0
     for lo, hi, c, dip in cells:
         if len(levels) == need and (
             hi < edge - 1e-9 * max(1.0, edge) if descending else lo > edge + 1e-9 * max(1.0, lo)
@@ -363,14 +363,11 @@ def _scan_roots(
                 edge = low if descending else q
                 if len(levels) == need:
                     break
-    return [q for q, _, _ in merged], levels
+    return levels
 
 
 def _phase_fixed_state(wf: WaveFunction) -> WaveFunction:
-    flat = wf.coeffs.ravel()
-    i = int(np.argmax(np.abs(flat)))
-    phase = flat[i] / abs(flat[i])
-    return replace(wf, coeffs=wf.coeffs / phase)
+    return replace(wf, coeffs=_phase_fixed(wf.coeffs.ravel()).reshape(wf.coeffs.shape))
 
 
 def _orthonormalized(states: list) -> list:
@@ -407,29 +404,33 @@ def _interval_level(spec: SystemSpec, sector: str, q: float) -> Level | None:
     return Level(states[0].energy, sector, q, len(states), tuple(states))
 
 
-def _kappa_window(spec: SystemSpec) -> float:
-    """Bound-state wavenumbers scale with inverse Robin lengths of the
-    boundary eigenphases; cover 4x the largest, plus an interval margin."""
-    l = spec.geometry.l if spec.geometry.is_interval else spec.L0
-    scales = [l]
-    mats = [spec.U] + ([spec.Dl] if spec.Dl is not None else [])
-    for mat in mats:
-        for w in np.linalg.eigvals(mat):
-            phi = np.angle(w) % (2.0 * np.pi)
-            if phi > 1e-9 and abs(phi - np.pi) > 1e-9:
-                val = abs(spec.L0 / np.tan(phi / 2.0))
-                if np.isfinite(val) and val > 1e-12:
-                    scales.append(val)
-    window = 4.0 / min(scales) + 2.0 / l
-    return min(window, 300.0 / l)  # keep cosh(kappa l) and its square finite
+def _binding_rate(w: complex, L0: float) -> float:
+    """Robin rate tan(phi/2) / L0 of a boundary eigenvalue w = e^{i phi} at
+    the origin (conjugate a wall eigenvalue first), or 0.0 when it binds
+    nothing: w within 1e-9 of -1 is Dirichlet, and a rate must exceed
+    1e-9 / L0."""
+    if abs(w + 1.0) <= 1e-9:
+        return 0.0
+    q = inverse_robin_length(np.angle(w) % (2.0 * np.pi), L0)
+    return q if q > 1e-9 / L0 else 0.0
+
+
+def _grid(step: float, top: float) -> np.ndarray:
+    """Scan samples: 12 geometric ones from 1e-4 step to step / 4, where a
+    zero mode's tail bends |det| near q = 0, then spacing step to two steps
+    past top, so that a root just below top has samples on both sides."""
+    near_zero = np.geomspace(step * 1e-4, 0.25 * step, 12)
+    return np.unique(np.concatenate([near_zero, np.arange(0.25 * step, top + 2.0 * step, step)]))
 
 
 def solve_interval_spectrum(spec: SystemSpec, n_levels: int = 10) -> Spectrum:
     """Lowest discrete levels of the interval system, all sectors.
 
-    Scans the negative sector over a kappa window sized from the boundary
-    Robin lengths, tests E = 0 exactly on the polynomial basis, and walks a
-    k grid of step pi/(8 l) for positive levels up to a k that bounds the
+    Scans the negative sector up to kappa = r + 2/l, below which every bound
+    state provably lies (r is the largest binding Robin rate, capped at 300/l
+    and then flagged in solver_report["window_capped"]), tests E = 0 exactly
+    on the polynomial basis when levels are still missing, and walks a k
+    grid of step pi/(8 l) for positive levels up to a k that bounds the
     n_levels-th level (fewer levels than asked for are flagged in
     solver_report["window_exhausted"]).  Each scan stops refining once its
     share of the n_levels lowest levels is certain, the positive scan is
@@ -451,29 +452,24 @@ def solve_interval_spectrum(spec: SystemSpec, n_levels: int = 10) -> Spectrum:
         "refinement_tolerance": "%g * max(1, q)" % _XTOL,
         "nullity_method": "scaled-svd",
         "window_exhausted": False,
-        "window_extensions": 0,
     }
-    kappa_max = _kappa_window(spec)
-    for attempt in range(2):
-        kstep_n = min(step, kappa_max / 256.0)
-        grid = np.unique(
-            np.concatenate(
-                [
-                    np.geomspace(kstep_n * 1e-4, kstep_n, 16),
-                    np.arange(0.25 * kstep_n, kappa_max, kstep_n),
-                ]
-            )
-        )
-        roots, levels = _scan_roots(spec, "negative", grid, floor, n_levels, report)
-        # a root hugging the window edge means the window was too small
-        if roots and attempt == 0 and max(roots) > kappa_max - 2.0 * kstep_n:
-            kappa_max *= 2.0
-            continue
-        break
+    # Integrating by parts, h[psi] = lam^2 (|psi'|^2 - psi(0)* T0 psi(0)
+    # + psi(l)* Tl psi(l)) with T = tan(phi/2) / L0 on each non-Dirichlet
+    # eigenvector, so h >= lam^2 (|psi'|^2 - r |psi(0)|^2 - r |psi(l)|^2) per
+    # component, r the largest binding rate of U and conj(Dl) (0 if none
+    # binds).  That scalar ground solves kappa tanh(kappa l / 2) = r, and
+    # kappa - r = 2 kappa / (e^{kappa l} + 1) <= 2 / (e l): every bound state
+    # lies below kappa = r + 2/l.  The 300/l cap keeps cosh(kappa l) finite.
+    eigenvalues = np.concatenate([np.linalg.eigvals(spec.U), np.conj(np.diag(spec.Dl))])
+    r = max(_binding_rate(w, spec.L0) for w in eigenvalues)
+    report["window_capped"] = bool(r + 2.0 / l > 300.0 / l)
+    kappa_max = min(r + 2.0 / l, 300.0 / l)
+    grid = _grid(min(step, kappa_max / 256.0), kappa_max)
+    levels = _scan_roots(spec, "negative", grid, floor, n_levels, report)
 
-    zero_det = _row_normalized_det(_interval_matrix(spec, "zero", 0.0))[0]
-    if len(levels) < n_levels and abs(zero_det) < _ACCEPT:
-        lv = _interval_level(spec, "zero", 0.0)
+    if len(levels) < n_levels:
+        zero_det = _row_normalized_det(_interval_matrix(spec, "zero", 0.0))[0]
+        lv = _interval_level(spec, "zero", 0.0) if abs(zero_det) < _ACCEPT else None
         if lv is not None:
             levels.append(lv)
 
@@ -482,15 +478,8 @@ def solve_interval_spectrum(spec: SystemSpec, n_levels: int = 10) -> Spectrum:
     # level (lam pi ceil((i + 1) / 2) / l)^2, so k_max bounds every level asked for
     k_max = (n_levels + 2) * np.pi / l
     if need > 0:
-        grid = np.unique(
-            np.concatenate(
-                [
-                    np.geomspace(step * 1e-4, 0.25 * step, 12),
-                    np.arange(0.25 * step, k_max + 2.0 * step, step),
-                ]
-            )
-        )
-        _, pos_levels = _scan_roots(spec, "positive", grid, floor, need, report)
+        grid = _grid(step, k_max)
+        pos_levels = _scan_roots(spec, "positive", grid, floor, need, report)
         report["window_exhausted"] = len(pos_levels) < need
         levels.extend(pos_levels)
     levels.sort(key=lambda lv: lv.energy)
@@ -512,19 +501,17 @@ def solve_line_bound_states(spec: SystemSpec) -> Spectrum:
     condition as w e^{-kappa x} with kappa = tan(phi/2) / L0, so each
     eigenphase with a positive tangent binds one state.  The eigenphases come
     from diagonalize_u2, as the classifier's do, so a ground energy and the
-    supercharge shift are read off the same phase.  An eigenvalue within
-    1e-9 of -1 is Dirichlet and binds nothing; kappas closer than
-    1e-9 max(1, kappa) form one level.
+    supercharge shift are read off the same phase.  Which eigenvalues bind
+    is _binding_rate's rule, shared with the interval window; kappas closer
+    than 1e-9 max(1, kappa) form one level.
     """
     if spec.geometry.is_interval:
         raise GeometryMismatchError("use solve_interval_spectrum on an interval")
     v, d = diagonalize_u2(spec.U)
     found = []
     for j in range(2):
-        if abs(d[j, j] + 1.0) <= 1e-9:
-            continue
-        q = inverse_robin_length(np.angle(d[j, j]) % (2.0 * np.pi), spec.L0)
-        if q > 1e-9 / spec.L0:
+        q = _binding_rate(d[j, j], spec.L0)
+        if q > 0.0:
             found.append((q, np.conj(v[j])))
     groups = []
     for q, w in sorted(found, key=lambda f: f[0]):
@@ -546,6 +533,5 @@ def solve_line_bound_states(spec: SystemSpec) -> Spectrum:
         "root_method": "eigenphase",
         "nullity_method": "eigenvector",
         "window_exhausted": False,
-        "window_extensions": 0,
     }
     return Spectrum(tuple(levels), (-((spec.lam * kappa_max) ** 2), 0.0), report)

@@ -20,7 +20,7 @@ from .classify import (
     SusyClassification,
     classify_system,
 )
-from .matkit import pauli_combination, pauli_vector
+from .matkit import _phase_fixed, pauli_combination, pauli_vector
 from . import spectra
 from .system import (
     SystemSpec,
@@ -222,8 +222,7 @@ def check_lower_bound(
 
 
 def _real_direction(vec: np.ndarray) -> np.ndarray:
-    i = int(np.argmax(np.abs(vec)))
-    u = np.real(vec / (vec[i] / abs(vec[i])))
+    u = np.real(_phase_fixed(vec))
     return u / np.linalg.norm(u)
 
 

@@ -91,6 +91,15 @@ def test_spectrum_csv_schema(tmp_path, capsys):
     assert float(second[2]) == pytest.approx(np.pi, abs=1e-9)
 
 
+def test_interval_spectrum_json_reports_the_kappa_window(tmp_path, capsys):
+    rc = cli.main(["spectrum", "--config", _write(tmp_path, MATCHED), "--format", "json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["solver_report"]["window_capped"] is False
+    # -(r + 2/l)^2 with the matched Robin rate r = tan(pi/4) = 1 at both ends
+    assert payload["scan_window"][0] == pytest.approx(-9.0, rel=1e-12)
+
+
 def test_spectrum_json_keys(tmp_path, capsys):
     rc = cli.main(["spectrum", "--config", _write(tmp_path, LINE), "--format", "json"])
     assert rc == 0

@@ -417,6 +417,45 @@ def test_refinement_tolerance_is_relative():
     assert spectrum.solver_report["secular_evaluations"] <= 60 * len(got)
 
 
+def _binding_rate(phase):
+    """tan(phase/2) at L0 = 1 when the phase binds at the origin, else 0;
+    a wall phase theta_l binds as the origin phase -theta_l."""
+    if phase % (2.0 * np.pi) == np.pi:  # Dirichlet
+        return 0.0
+    return max(np.tan(phase / 2.0), 0.0)
+
+
+@pytest.mark.parametrize("binds", ["origin", "wall", "both", "none", "capped"])
+def test_kappa_window_is_the_proven_bound(rng, binds):
+    """Integrating by parts, h >= lam^2 (|psi'|^2 - r |psi(0)|^2 - r |psi(l)|^2)
+    per component, with r the largest binding Robin rate of U and conj(Dl),
+    so every bound state has kappa < r + 2/l.  The negative scan covers
+    exactly that window, capped at 300/l, and flags the cap."""
+    for _ in range(6):
+        l, lam = rng.uniform(0.6, 2.0), rng.uniform(0.5, 2.0)
+
+        def end(binding, at_wall):
+            if binding:
+                phase = np.pi - 1e-3 if binds == "capped" else rng.uniform(0.3, 2.8)
+            else:
+                phase = rng.choice([0.0, np.pi, rng.uniform(3.5, 6.0)])
+            return -phase if at_wall else phase
+
+        u_phases = [end(binds in ("origin", "both", "capped"), False), end(False, False)]
+        dl_phases = [end(False, True), end(binds in ("wall", "both"), True)]
+        r = max(_binding_rate(a) for a in u_phases + [-b for b in dl_phases])
+        assert (r > 0.0) == (binds != "none")
+        for a, b in zip(u_phases, dl_phases):
+            kappas = oracle_decoupled_roots(_oracle_end(a), _oracle_end(b), l).kappa
+            assert all(q < r + 2.0 / l for q in kappas)
+        u = np.diag(np.exp(1j * np.array(u_phases)))
+        dl = np.diag(np.exp(1j * np.array(dl_phases)))
+        spectrum = solve_interval_spectrum(SystemSpec(Geometry.interval(l), u, dl, lam), 1)
+        kappa_max = min(r + 2.0 / l, 300.0 / l)
+        assert spectrum.scan_window[0] == pytest.approx(-((lam * kappa_max) ** 2), rel=1e-12)
+        assert spectrum.solver_report["window_capped"] is (binds == "capped")
+
+
 def test_oracle_zero_mode_flag():
     assert oracle_decoupled_roots(None, None, 1.0).zero_mode  # Neumann-Neumann
     assert oracle_decoupled_roots(0.25, -0.75, 1.0).zero_mode  # L0 - Ll = l
@@ -547,10 +586,13 @@ def test_stacked_secular_matrices_match_single_builds(rng):
 
 def test_rounding_noise_dips_are_not_refined(monkeypatch):
     """A Dirichlet origin against a wall that is Dirichlet on one component
-    and Robin of length 3e-8 on the other: near pairs k = n pi and about
-    n pi (1 - 3e-8), and a kappa grid whose |det| is flat to rounding from
-    kappa ~ 10 on.  Its strict minima there are noise, not roots."""
-    L = 3e-8
+    and Robin of length -3e-8 on the other: near pairs k = n pi and about
+    n pi (1 + 3e-8), and a kappa grid whose |det| is flat to rounding from
+    kappa ~ 10 on.  Its strict minima there are noise, not roots.  The wall
+    binds a state at kappa ~ 3.3e7, so the kappa window stays at its 300/l
+    cap and the plateau is scanned; that state lies past the cap, so only
+    the positive levels returned are compared."""
+    L = -3e-8
     dl = np.diag([-1.0, np.exp(1j * theta_for_scale(L))])
     spec = SystemSpec(Geometry.interval(1.0), -np.eye(2, dtype=complex), dl)
     builds = []
@@ -566,8 +608,13 @@ def test_rounding_noise_dips_are_not_refined(monkeypatch):
         oracle_decoupled_roots(0.0, 0.0, 1.0, n_levels=5).k
         + oracle_decoupled_roots(0.0, L, 1.0, n_levels=5).k
     )[:5]
-    assert [(lv.sector, lv.multiplicity) for lv in spectrum.levels] == [("positive", 1)] * 5
-    np.testing.assert_allclose([lv.wavenumber for lv in spectrum.levels], want, rtol=1e-12, atol=0)
+    assert spectrum.solver_report["window_capped"] is True
+    assert spectrum.scan_window[0] == -(300.0**2)
+    positive = [lv for lv in spectrum.levels if lv.sector == "positive"]
+    assert len(positive) >= 4 and all(lv.multiplicity == 1 for lv in positive)
+    np.testing.assert_allclose(
+        [lv.wavenumber for lv in positive], want[: len(positive)], rtol=1e-12, atol=0
+    )
     assert spectrum.solver_report["bracket_count"] <= 20
     assert len(builds) <= 1000
 
