@@ -33,7 +33,6 @@ from .matkit import (
 from .system import (
     BoundaryData,
     Geometry,
-    LengthScale,
     SystemSpec,
     WaveFunction,
     boundary_data,

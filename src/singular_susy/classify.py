@@ -18,6 +18,7 @@ charges carry reflected=True and apply() folds the reflection in.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -37,8 +38,9 @@ from . import spectra
 from .system import (
     SystemSpec,
     WaveFunction,
+    _frozen,
     derivative_rep,
-    half_parity,
+    half_parity_coeffs,
     inverse_robin_length,
 )
 
@@ -91,6 +93,13 @@ class SuperchargeSpec:
         v.setflags(write=False)
         object.__setattr__(self, "conjugator", v)
 
+    def __reduce__(self):
+        # rebuild from the fields, so the cached matrices below are never copied
+        return (
+            type(self),
+            (self.alpha, self.c, self.theta, self.lam, self.L0, self.conjugator, self.reflected),
+        )
+
     @property
     def a_vec(self) -> np.ndarray:
         return np.array([np.cos(self.alpha), np.sin(self.alpha), 0.0])
@@ -102,31 +111,42 @@ class SuperchargeSpec:
             [g * np.sin(self.alpha), -g * np.cos(self.alpha), self.c]
         )
 
-    @property
+    @cached_property
     def shift(self) -> float:
         """|b|^2, the constant by which the algebra shifts H."""
         g = self.lam * inverse_robin_length(self.theta, self.L0)
         return float(g * g + self.c * self.c)
 
-    @property
+    @cached_property
     def kinetic_matrix(self) -> np.ndarray:
-        return conjugate(self.conjugator.conj().T, pauli_combination(self.a_vec))
+        """V^dag (a . sigma) V, read-only; computed once per charge."""
+        return _frozen(conjugate(self.conjugator.conj().T, pauli_combination(self.a_vec)))
 
-    @property
+    @cached_property
     def shift_matrix(self) -> np.ndarray:
-        return conjugate(self.conjugator.conj().T, pauli_combination(self.b_vec))
+        """V^dag (b . sigma) V, read-only; computed once per charge."""
+        return _frozen(conjugate(self.conjugator.conj().T, pauli_combination(self.b_vec)))
+
+    def apply_coeffs(self, geometry, sector: str, q, coeffs) -> np.ndarray:
+        """Image coefficients under the charge of states of one sector: q a
+        wavenumber and coeffs (2, 2), or q of shape (n,) and coeffs
+        (n, 2, 2).  A reflected charge is conjugated by the half parity."""
+        if self.reflected:
+            coeffs = half_parity_coeffs(geometry, sector, q, coeffs)
+        dcoeffs = coeffs @ derivative_rep(geometry, sector, q).swapaxes(-1, -2)
+        new = (
+            -1j * self.lam * (self.kinetic_matrix @ dcoeffs)
+            + self.shift_matrix @ coeffs
+        ) / _SQRT2
+        if self.reflected:
+            new = half_parity_coeffs(geometry, sector, q, new)
+        return new
 
     def apply(self, wf: WaveFunction) -> WaveFunction:
         """Closed-form action on a wavefunction; keeps the energy label."""
-        if self.reflected:
-            plain = replace(self, reflected=False)
-            return half_parity(plain.apply(half_parity(wf)))
-        dcoeffs = wf.coeffs @ derivative_rep(wf.geometry, wf.sector, wf.wavenumber).T
-        new = (
-            -1j * self.lam * (self.kinetic_matrix @ dcoeffs)
-            + self.shift_matrix @ wf.coeffs
-        ) / _SQRT2
-        return replace(wf, coeffs=new)
+        return replace(
+            wf, coeffs=self.apply_coeffs(wf.geometry, wf.sector, wf.wavenumber, wf.coeffs)
+        )
 
 
 @dataclass(frozen=True)
@@ -180,11 +200,11 @@ def point_condition_residual(m, charge: SuperchargeSpec) -> float:
 
 
 def annihilates(charge: SuperchargeSpec, wf: WaveFunction, tol: float = 1e-10) -> bool:
-    image = charge.apply(wf)
+    image = charge.apply_coeffs(wf.geometry, wf.sector, wf.wavenumber, wf.coeffs)
     scale = (
         charge.lam * (wf.wavenumber + 1.0) + np.sqrt(charge.shift)
     ) * np.linalg.norm(wf.coeffs)
-    return float(np.linalg.norm(image.coeffs)) <= tol * max(scale, 1e-300)
+    return float(np.linalg.norm(image)) <= tol * max(scale, 1e-300)
 
 
 def _gauge_fixed(v: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ from .matkit import IDENTITY, is_unitary
 SECTORS = ("positive", "zero", "negative")
 
 _TWO_PI = 2.0 * np.pi
+_TINY = 5e-324  # the smallest subnormal double
 
 
 @dataclass(frozen=True)
@@ -63,48 +64,31 @@ class Geometry:
         return self.kind == "interval"
 
 
-@dataclass(frozen=True)
-class LengthScale:
-    """Robin length L(theta) = L0 cot(theta/2) attached to a boundary phase.
-
-    theta is stored reduced to [0, 2 pi).  theta = 0 is the Neumann point
-    and carries an explicit infinite value; theta = pi is rejected because
-    the associated boundary matrix degenerates (both eigenvalues -1) and no
-    finite-or-infinite Robin scale exists there.
-    """
-
-    theta: float
-    L0: float = 1.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.L0) or self.L0 <= 0:
-            raise ValueError("L0 must be positive and finite")
-        if not np.isfinite(self.theta):
-            raise ValueError("theta must be finite")
-        t = float(self.theta) % _TWO_PI
-        if abs(t - np.pi) < 1e-12:
-            raise ThetaPiError("theta = pi admits no Robin length scale")
-        object.__setattr__(self, "theta", t)
-
-    @property
-    def value(self) -> float:
-        """L0 cot(theta/2); +inf at the Neumann point theta = 0."""
-        if self.theta == 0.0:
-            return np.inf
-        return self.L0 / np.tan(self.theta / 2.0)
-
-    @property
-    def inverse(self) -> float:
-        """tan(theta/2) / L0, finite on the whole allowed range."""
-        return np.tan(self.theta / 2.0) / self.L0
+def _reduced_theta(theta: float, L0: float) -> float:
+    """theta reduced to [0, 2 pi), after checking that (theta, L0) has a
+    Robin scale: L0 must be positive and finite, and theta = pi is rejected
+    because its boundary matrix degenerates (both eigenvalues -1)."""
+    if not np.isfinite(L0) or L0 <= 0:
+        raise ValueError("L0 must be positive and finite")
+    if not np.isfinite(theta):
+        raise ValueError("theta must be finite")
+    t = float(theta) % _TWO_PI
+    if abs(t - np.pi) < 1e-12:
+        raise ThetaPiError("theta = pi admits no Robin length scale")
+    return t
 
 
 def robin_length(theta: float, L0: float = 1.0) -> float:
-    return LengthScale(theta, L0).value
+    """Robin length L0 cot(theta/2); +inf at the Neumann point theta = 0."""
+    t = _reduced_theta(theta, L0)
+    if t == 0.0:
+        return np.inf
+    return L0 / np.tan(t / 2.0)
 
 
 def inverse_robin_length(theta: float, L0: float = 1.0) -> float:
-    return LengthScale(theta, L0).inverse
+    """tan(theta/2) / L0, finite on the whole allowed range."""
+    return np.tan(_reduced_theta(theta, L0) / 2.0) / L0
 
 
 def theta_for_scale(L: float, L0: float = 1.0) -> float:
@@ -218,25 +202,35 @@ class BoundaryData:
         object.__setattr__(self, "dpsi", _readonly_complex(self.dpsi, (2,)))
 
 
-def _form_residual(spec: SystemSpec, end: int, b: BoundaryData) -> float:
+def _norms(x: np.ndarray):
+    """Euclidean norm over the last axis.  A single vector takes
+    np.linalg.norm's own path, so a per-state residual is bitwise the
+    written-out formula."""
+    if x.ndim == 1:
+        return np.linalg.norm(x)
+    return np.linalg.norm(x, axis=-1)
+
+
+def _form_residual(spec: SystemSpec, end: int, psi: np.ndarray, dpsi: np.ndarray):
+    """Scale-free violation of the boundary form at one end, for boundary
+    values psi, dpsi stacked as (..., 2); 0 where both vanish."""
     minus, plus = spec.form
-    lhs = minus[end] @ b.psi + plus[end] @ b.dpsi
-    scale = max(np.linalg.norm(b.psi), spec.L0 * np.linalg.norm(b.dpsi))
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(lhs) / scale)
+    lhs = (minus[end] @ psi[..., None] + plus[end] @ dpsi[..., None])[..., 0]
+    # psi = dpsi = 0 gives lhs = 0, which the smallest subnormal scale reads as 0
+    scale = np.maximum(np.maximum(_norms(psi), spec.L0 * _norms(dpsi)), _TINY)
+    return _norms(lhs) / scale
 
 
 def connection_residual(spec: SystemSpec, b: BoundaryData) -> float:
     """Scale-free violation of the singularity condition at x = +0."""
-    return _form_residual(spec, 0, b)
+    return float(_form_residual(spec, 0, b.psi, b.dpsi))
 
 
 def wall_residual(spec: SystemSpec, b: BoundaryData) -> float:
     """Scale-free violation of the wall condition at x = l."""
     if not spec.geometry.is_interval:
         raise GeometryMismatchError("wall condition exists only on an interval")
-    return _form_residual(spec, 1, b)
+    return float(_form_residual(spec, 1, b.psi, b.dpsi))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -282,27 +276,39 @@ class WaveFunction:
         return -((self.lam * self.wavenumber) ** 2)
 
 
-def derivative_rep(geometry: Geometry, sector: str, q: float) -> np.ndarray:
+def _per_wavenumber(q, a, b, c, d) -> np.ndarray:
+    """The 2x2 matrix [[a, b], [c, d]] for each wavenumber in q: the
+    entries broadcast against q, giving shape q.shape + (2, 2); a Python
+    float q has no shape attribute and gives one (2, 2) matrix."""
+    m = np.empty(getattr(q, "shape", ()) + (2, 2))
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = a, b, c, d
+    return m
+
+
+def derivative_rep(geometry: Geometry, sector: str, q) -> np.ndarray:
     """Matrix M with: coefficients of Psi' = M @ (coefficients of Psi), in
-    the sector basis of wavenumber q on the geometry.
+    the sector basis of wavenumber q on the geometry; one matrix per entry
+    of an array q, stacked as q.shape + (2, 2).
 
     Row-major coeffs arrays therefore transform as C -> C @ M.T.
     """
     if sector == "positive":
-        return np.array([[0.0, q], [-q, 0.0]])
+        return _per_wavenumber(q, 0.0, q, -q, 0.0)
     if sector == "zero":
-        return np.array([[0.0, 1.0], [0.0, 0.0]])
+        return _per_wavenumber(q, 0.0, 1.0, 0.0, 0.0)
     if geometry.is_interval:
-        return np.array([[0.0, q], [q, 0.0]])
-    return np.array([[-q, 1.0], [0.0, -q]])
+        return _per_wavenumber(q, 0.0, q, q, 0.0)
+    return _per_wavenumber(q, -q, 1.0, 0.0, -q)
 
 
-def _basis_values(geometry: Geometry, sector: str, q: float, x: float) -> np.ndarray:
-    """The two sector basis functions at x (see WaveFunction)."""
+def _basis_values(geometry: Geometry, sector: str, q, x) -> np.ndarray:
+    """The two sector basis functions at x (see WaveFunction), stacked
+    along the first axis over the broadcast shape of q and x."""
     if sector == "positive":
         return np.array([np.cos(q * x), np.sin(q * x)])
     if sector == "zero":
-        return np.array([1.0, x])
+        one = np.ones(np.broadcast(q, x).shape)
+        return np.array([one, one * x])
     if geometry.is_interval:
         return np.array([np.cosh(q * x), np.sinh(q * x)])
     e = np.exp(-q * x)
@@ -329,44 +335,55 @@ def derivative(wf: WaveFunction, x: float) -> np.ndarray:
     return (wf.coeffs @ derivative_rep(wf.geometry, wf.sector, wf.wavenumber).T) @ vals
 
 
+def _endpoint(geometry: Geometry, at: str) -> float:
+    """x of the end named at: 0 ("origin") or l ("wall")."""
+    if at == "origin":
+        return 0.0
+    if at == "wall":
+        if not geometry.is_interval:
+            raise GeometryMismatchError("the line has no wall")
+        return geometry.l
+    raise ValueError("at must be 'origin' or 'wall'")
+
+
+def _boundary_values(geometry: Geometry, sector: str, q, coeffs, x: float) -> tuple:
+    """(Psi, Psi') at x of states of one sector: q a wavenumber and coeffs
+    its (2, 2) coefficients, or q of shape (n,) and coeffs (n, 2, 2), giving
+    values of shape (2,) or (n, 2)."""
+    vals = _basis_values(geometry, sector, q, x).T[..., None]
+    dcoeffs = coeffs @ derivative_rep(geometry, sector, q).swapaxes(-1, -2)
+    return (coeffs @ vals)[..., 0], (dcoeffs @ vals)[..., 0]
+
+
 def boundary_data(wf: WaveFunction, at: str = "origin") -> BoundaryData:
     """One-sided limits (Psi, Psi') at x -> +0 ("origin") or x = l ("wall")."""
-    if at == "origin":
-        x = 0.0
-    elif at == "wall":
-        if not wf.geometry.is_interval:
-            raise GeometryMismatchError("the line has no wall")
-        x = wf.geometry.l
-    else:
-        raise ValueError("at must be 'origin' or 'wall'")
-    vals = _basis_values(wf.geometry, wf.sector, wf.wavenumber, x)
-    dcoeffs = wf.coeffs @ derivative_rep(wf.geometry, wf.sector, wf.wavenumber).T
-    return BoundaryData(wf.coeffs @ vals, dcoeffs @ vals)
+    x = _endpoint(wf.geometry, at)
+    return BoundaryData(*_boundary_values(wf.geometry, wf.sector, wf.wavenumber, wf.coeffs, x))
 
 
-def _gram(wf: WaveFunction) -> np.ndarray:
-    """Exact Gram matrix of the sector basis on the geometry."""
-    q = wf.wavenumber
-    if not wf.geometry.is_interval:
-        if wf.sector != "negative":
+def _gram(geometry: Geometry, sector: str, q) -> np.ndarray:
+    """Exact Gram matrix of the sector basis of wavenumber q on the
+    geometry; one per entry of an array q, stacked as q.shape + (2, 2)."""
+    if not geometry.is_interval:
+        if sector != "negative":
             raise NotNormalizableError(
-                "%s-sector states are not square-integrable on the line" % wf.sector
+                "%s-sector states are not square-integrable on the line" % sector
             )
-        return np.array(
-            [[1.0 / (2 * q), 1.0 / (4 * q**2)], [1.0 / (4 * q**2), 1.0 / (4 * q**3)]]
+        return _per_wavenumber(
+            q, 1.0 / (2 * q), 1.0 / (4 * q**2), 1.0 / (4 * q**2), 1.0 / (4 * q**3)
         )
-    l = wf.geometry.l
-    if wf.sector == "positive":
+    l = geometry.l
+    if sector == "positive":
         even = l / 2 + np.sin(2 * q * l) / (4 * q)
         odd = l / 2 - np.sin(2 * q * l) / (4 * q)
         cross = np.sin(q * l) ** 2 / (2 * q)
-        return np.array([[even, cross], [cross, odd]])
-    if wf.sector == "zero":
-        return np.array([[l, l**2 / 2], [l**2 / 2, l**3 / 3]])
+        return _per_wavenumber(q, even, cross, cross, odd)
+    if sector == "zero":
+        return _per_wavenumber(q, l, l**2 / 2, l**2 / 2, l**3 / 3)
     even = np.sinh(2 * q * l) / (4 * q) + l / 2
     odd = np.sinh(2 * q * l) / (4 * q) - l / 2
     cross = np.sinh(q * l) ** 2 / (2 * q)
-    return np.array([[even, cross], [cross, odd]])
+    return _per_wavenumber(q, even, cross, cross, odd)
 
 
 def wf_inner(wf1: WaveFunction, wf2: WaveFunction) -> complex:
@@ -375,7 +392,7 @@ def wf_inner(wf1: WaveFunction, wf2: WaveFunction) -> complex:
         raise ValueError("inner product requires a common sector basis")
     if abs(wf1.wavenumber - wf2.wavenumber) > 1e-9 * max(1.0, wf1.wavenumber):
         raise ValueError("inner product requires equal wavenumbers")
-    g = _gram(wf1)
+    g = _gram(wf1.geometry, wf1.sector, wf1.wavenumber)
     return complex(np.sum(np.conj(wf1.coeffs) * (wf2.coeffs @ g)))
 
 
@@ -391,6 +408,25 @@ def normalize(wf: WaveFunction) -> WaveFunction:
     return replace(wf, coeffs=wf.coeffs / n)
 
 
+def half_parity_coeffs(geometry: Geometry, sector: str, q, coeffs) -> np.ndarray:
+    """half_parity on coefficients: q a wavenumber and coeffs (2, 2), or q
+    of shape (n,) and coeffs (n, 2, 2) for n states of one sector."""
+    if not geometry.is_interval:
+        raise GeometryMismatchError("half parity is defined on an interval")
+    length = geometry.l
+    if sector == "positive":
+        c, s = np.cos(q * length), np.sin(q * length)
+        t = _per_wavenumber(q, c, s, s, -c)
+    elif sector == "zero":
+        t = _per_wavenumber(q, 1.0, length, 0.0, -1.0)
+    else:
+        ch, sh = np.cosh(q * length), np.sinh(q * length)
+        t = _per_wavenumber(q, ch, sh, -sh, -ch)
+    new = np.array(coeffs)
+    new[..., 0, :] = (t @ new[..., 0, :, None])[..., 0]
+    return new
+
+
 def half_parity(wf: WaveFunction) -> WaveFunction:
     """Reflect the upper component: (psi_+(x), psi_-(x)) -> (psi_+(l-x), psi_-(x)).
 
@@ -398,18 +434,6 @@ def half_parity(wf: WaveFunction) -> WaveFunction:
     result is again a closed-form WaveFunction; the map is an involution on
     coefficients.
     """
-    if not wf.geometry.is_interval:
-        raise GeometryMismatchError("half parity is defined on an interval")
-    length = wf.geometry.l
-    q = wf.wavenumber
-    if wf.sector == "positive":
-        c, s = np.cos(q * length), np.sin(q * length)
-        t = np.array([[c, s], [s, -c]])
-    elif wf.sector == "zero":
-        t = np.array([[1.0, length], [0.0, -1.0]])
-    else:
-        ch, sh = np.cosh(q * length), np.sinh(q * length)
-        t = np.array([[ch, sh], [-sh, -ch]])
-    new = np.array(wf.coeffs)
-    new[0] = t @ wf.coeffs[0]
-    return replace(wf, coeffs=new)
+    return replace(
+        wf, coeffs=half_parity_coeffs(wf.geometry, wf.sector, wf.wavenumber, wf.coeffs)
+    )

@@ -11,7 +11,7 @@ interval and (1,1) on a half line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,12 +25,13 @@ from . import spectra
 from .system import (
     SystemSpec,
     WaveFunction,
+    _boundary_values,
+    _endpoint,
+    _form_residual,
+    _gram,
+    _norms,
     boundary_data,
-    connection_residual,
-    half_parity,
-    l2_norm,
-    wall_residual,
-    wf_inner,
+    half_parity_coeffs,
 )
 
 _ALGEBRA_TOL = 1e-10
@@ -73,63 +74,108 @@ class VerificationReport:
         }
 
 
+class _Stack:
+    """The states of one sector, stacked: wavenumbers, kinetic scales and
+    energies of shape (n,), coefficients (n, 2, 2), and index, where each
+    state sits in the input sequence."""
+
+    __slots__ = ("geometry", "sector", "q", "lam", "energy", "coeffs", "index")
+
+    def __init__(self, states, index: list):
+        members = [states[i] for i in index]
+        self.geometry = members[0].geometry
+        self.sector = members[0].sector
+        self.q = np.array([st.wavenumber for st in members])
+        self.lam = np.array([st.lam for st in members])
+        self.energy = np.array([st.energy for st in members])
+        self.coeffs = np.array([st.coeffs for st in members])
+        self.index = np.array(index)
+
+    def image(self, charge: SuperchargeSpec, coeffs=None) -> np.ndarray:
+        """Coefficients of charge applied to each state, or to the stacked
+        coeffs of the same sector and wavenumbers."""
+        c = self.coeffs if coeffs is None else coeffs
+        return charge.apply_coeffs(self.geometry, self.sector, self.q, c)
+
+
+def _stacks(states) -> list:
+    """states grouped by sector, since the basis and so every per-state
+    matrix depends on the sector."""
+    groups = {}
+    for i, st in enumerate(states):
+        groups.setdefault(st.sector, []).append(i)
+    return [_Stack(states, index) for index in groups.values()]
+
+
+def _frobenius(c: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each 2x2 matrix in a (..., 2, 2) stack."""
+    return _norms(c.reshape(c.shape[:-2] + (4,)))
+
+
+def _worst(residuals: list) -> float:
+    """Largest residual, 0 for none; a NaN anywhere makes it NaN, so a
+    broken state fails every tolerance instead of dropping out of the max."""
+    return float(np.max(np.concatenate([np.zeros(1)] + residuals)))
+
+
 def check_domain_preservation(
-    spec: SystemSpec, charge: SuperchargeSpec, wf: WaveFunction, tol: float = 1e-8
+    spec: SystemSpec, charges, states, tol: float = 1e-8
 ) -> CheckResult:
-    """The image of a domain element must satisfy the same boundary
-    conditions; a failure here means the charge is not a symmetry."""
-    image = charge.apply(wf)
-    floor = 1e-12 * (
-        (charge.lam * (wf.wavenumber + 1.0) + np.sqrt(charge.shift) + 1.0)
-        * np.linalg.norm(wf.coeffs)
-    )
-    if np.linalg.norm(image.coeffs) <= floor:
-        # annihilated: the image is the zero element, which trivially
-        # satisfies the conditions; its rounding junk carries no geometry
-        return CheckResult("domain preservation", True, 0.0, tol, "annihilated")
-    r = connection_residual(spec, boundary_data(image, "origin"))
-    parts = ["origin %.3e" % r]
-    if spec.geometry.is_interval:
-        rw = wall_residual(spec, boundary_data(image, "wall"))
-        parts.append("wall %.3e" % rw)
-        r = max(r, rw)
-    return CheckResult("domain preservation", r <= tol, r, tol, ", ".join(parts))
+    """The images of domain elements must satisfy the same boundary
+    conditions; a failure here means a charge is not a symmetry.  An image
+    below its rounding floor is the zero element, which trivially
+    satisfies the conditions, and reads residual 0."""
+    ends = [(0, 0.0)] + ([(1, spec.l)] if spec.geometry.is_interval else [])
+    residuals = []
+    for st in _stacks(states):
+        cnorm = _frobenius(st.coeffs)
+        for charge in charges:
+            image = st.image(charge)
+            floor = 1e-12 * (
+                (charge.lam * (st.q + 1.0) + np.sqrt(charge.shift) + 1.0) * cnorm
+            )
+            # a NaN image is never below the floor, so it is checked below
+            moved = ~(_frobenius(image) <= floor)
+            for end, x in ends:
+                psi, dpsi = _boundary_values(
+                    st.geometry, st.sector, st.q[moved], image[moved], x
+                )
+                residuals.append(_form_residual(spec, end, psi, dpsi))
+    worst = _worst(residuals)
+    details = "%d states x %d charges" % (len(states), len(charges))
+    return CheckResult("domain preservation", worst <= tol, worst, tol, details)
 
 
 def check_algebra(
     spec: SystemSpec,
     q1: SuperchargeSpec,
     q2: SuperchargeSpec,
-    wf: WaveFunction,
+    states,
     tol: float = _ALGEBRA_TOL,
 ) -> CheckResult:
-    """On an energy-E eigenstate: Q_i(Q_i wf) = ((E + |b|^2)/2) wf for each
+    """On energy-E eigenstates: Q_i(Q_i wf) = ((E + |b|^2)/2) wf for each
     charge, and Q_1 Q_2 + Q_2 Q_1 = 0 when the charges differ."""
-    e = wf.energy
-    cn = np.linalg.norm(wf.coeffs)
-    worst = 0.0
-    parts = []
     charges = (q1,) if q1 is q2 else (q1, q2)
-    for i, q in enumerate(charges):
-        twice = q.apply(q.apply(wf))
-        scale = abs(e) + q.shift
-        if scale == 0.0:
-            scale = wf.lam**2
-        r = float(
-            np.linalg.norm(twice.coeffs - 0.5 * (e + q.shift) * wf.coeffs)
-            / (scale * cn)
-        )
-        parts.append("square %d: %.3e" % (i + 1, r))
-        worst = max(worst, r)
-    if q1 is not q2:
-        cross = q1.apply(q2.apply(wf)).coeffs + q2.apply(q1.apply(wf)).coeffs
-        scale = abs(e) + max(q1.shift, q2.shift)
-        if scale == 0.0:
-            scale = wf.lam**2
-        r = float(np.linalg.norm(cross) / (scale * cn))
-        parts.append("anticommutator: %.3e" % r)
-        worst = max(worst, r)
-    return CheckResult("algebra", worst <= tol, worst, tol, ", ".join(parts))
+    residuals = []
+    for st in _stacks(states):
+        e = st.energy
+        cn = _frobenius(st.coeffs)
+
+        def relative(c, shift):
+            scale = np.abs(e) + shift
+            scale = np.where(scale == 0.0, st.lam**2, scale)
+            return _frobenius(c) / (scale * cn)
+
+        images = [st.image(q) for q in charges]
+        for q, image in zip(charges, images):
+            half = 0.5 * (e + q.shift)
+            residuals.append(relative(st.image(q, image) - half[:, None, None] * st.coeffs, q.shift))
+        if q1 is not q2:
+            cross = st.image(q1, images[1]) + st.image(q2, images[0])
+            residuals.append(relative(cross, max(q1.shift, q2.shift)))
+    worst = _worst(residuals)
+    details = "squares and anticommutator over %d states" % len(states)
+    return CheckResult("algebra", worst <= tol, worst, tol, details)
 
 
 def check_degeneracy_pairing(
@@ -140,30 +186,34 @@ def check_degeneracy_pairing(
 ) -> CheckResult:
     """Charges must map every level into its own span: a doublet is mixed
     internally, a singlet is rescaled or annihilated."""
-    worst = 0.0
-    annihilated = 0
-    moved = 0
-    for level in spectrum.levels:
-        states = level.states
+    states = [st for lv in spectrum.levels for st in lv.states]
+    sizes = np.array([len(lv.states) for lv in spectrum.levels], dtype=int)
+    level = np.repeat(np.arange(len(sizes)), sizes)
+    leaks = []
+    annihilated = moved = 0
+    for st in _stacks(states):
+        gram = _gram(st.geometry, st.sector, st.q)
+        # states of one level share its sector and wavenumber, so within a
+        # stack the partners of state i are the j of the same level
+        partner = level[st.index][:, None] == level[st.index][None, :]
+
+        def norm(c):
+            return np.sqrt(np.maximum(np.sum(np.conj(c) * (c @ gram), axis=(-2, -1)).real, 0.0))
+
         for q in classification.charges:
-            for st in states:
-                img = q.apply(st)
-                inorm = l2_norm(img)
-                floor = 1e-12 * (
-                    q.lam * (st.wavenumber + 1.0) + np.sqrt(q.shift) + 1.0
-                )
-                if inorm <= floor:
-                    annihilated += 1
-                    continue
-                moved += 1
-                # subtract the projection in coefficient space: the norm of
-                # the leftover avoids the sqrt(eps) floor that the variance
-                # form inorm^2 - sum |<s, img>|^2 hits through cancellation
-                left = img.coeffs.copy()
-                for s2 in states:
-                    left = left - wf_inner(s2, img) * s2.coeffs
-                leak = l2_norm(replace(img, coeffs=left))
-                worst = max(worst, float(leak / inorm))
+            img = st.image(q)
+            inorm = norm(img)
+            floor = 1e-12 * (q.lam * (st.q + 1.0) + np.sqrt(q.shift) + 1.0)
+            kept = ~(inorm <= floor)
+            annihilated += int(np.count_nonzero(~kept))
+            moved += int(np.count_nonzero(kept))
+            # subtract the projection in coefficient space: the norm of
+            # the leftover avoids the sqrt(eps) floor that the variance
+            # form inorm^2 - sum |<s, img>|^2 hits through cancellation
+            overlap = np.einsum("jab,iab->ij", np.conj(st.coeffs), img @ gram)
+            left = img - np.einsum("ij,jab->iab", np.where(partner, overlap, 0.0), st.coeffs)
+            leaks.append(norm(left)[kept] / inorm[kept])
+    worst = _worst(leaks)
     details = "%d images in span, %d annihilated, worst leak %.3e" % (
         moved,
         annihilated,
@@ -179,12 +229,19 @@ def boundary_form(wf1: WaveFunction, wf2: WaveFunction, a_matrix, at: str = "ori
     return complex(b1.psi.conj() @ (np.asarray(a_matrix, dtype=complex) @ b2.psi))
 
 
-def susy_boundary_form(wf: WaveFunction, charge: SuperchargeSpec, at: str = "origin") -> complex:
-    """Endpoint form with the charge's own kinetic matrix; vanishes on
-    every pair of domain elements when the charge is symmetric."""
-    if charge.reflected:
-        wf = half_parity(wf)
-    return boundary_form(wf, wf, charge.kinetic_matrix, at)
+def susy_boundary_form(states, charge: SuperchargeSpec, at: str = "origin") -> np.ndarray:
+    """Endpoint form Psi^dag K Psi of each state with the charge's own
+    kinetic matrix K; vanishes on every domain element when the charge is
+    symmetric."""
+    forms = np.zeros(len(states), dtype=complex)
+    for st in _stacks(states):
+        x = _endpoint(st.geometry, at)
+        coeffs = st.coeffs
+        if charge.reflected:
+            coeffs = half_parity_coeffs(st.geometry, st.sector, st.q, coeffs)
+        psi, _ = _boundary_values(st.geometry, st.sector, st.q, coeffs, x)
+        forms[st.index] = np.sum(psi.conj() * (psi @ charge.kinetic_matrix.T), axis=-1)
+    return forms
 
 
 def deficiency_indices(spec: SystemSpec, g: float = 1.0) -> tuple[int, int]:
@@ -304,40 +361,14 @@ def run_verification(
         )
     ]
     states = [st for lv in spectrum.levels for st in lv.states]
-    if classification.charges and states:
-        worst = max(
-            check_domain_preservation(spec, q, st, tol).residual
-            for q in classification.charges
-            for st in states
-        )
-        checks.append(
-            CheckResult(
-                "domain preservation",
-                worst <= tol,
-                worst,
-                tol,
-                "%d states x %d charges" % (len(states), len(classification.charges)),
-            )
-        )
-        q1 = classification.charges[0]
-        q2 = classification.charges[-1]
-        worst = max(check_algebra(spec, q1, q2, st).residual for st in states)
-        checks.append(
-            CheckResult(
-                "algebra",
-                worst <= _ALGEBRA_TOL,
-                worst,
-                _ALGEBRA_TOL,
-                "squares and anticommutator over %d states" % len(states),
-            )
-        )
+    charges = classification.charges
+    if charges and states:
+        checks.append(check_domain_preservation(spec, charges, states, tol))
+        checks.append(check_algebra(spec, charges[0], charges[-1], states))
         checks.append(check_degeneracy_pairing(spec, classification, spectrum, tol))
         ends = ("origin", "wall") if spec.geometry.is_interval else ("origin",)
-        worst = max(
-            abs(susy_boundary_form(st, q, at))
-            for st in states
-            for q in classification.charges
-            for at in ends
+        worst = _worst(
+            [np.abs(susy_boundary_form(states, q, at)) for q in charges for at in ends]
         )
         checks.append(
             CheckResult(

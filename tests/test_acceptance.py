@@ -191,7 +191,7 @@ def test_charge_algebra():
             q1, q2 = cls.charges[0], cls.charges[-1]
             for lv in sp.levels:
                 for st in lv.states:
-                    res = check_algebra(spec, q1, q2, st, tol=1e-10)
+                    res = check_algebra(spec, q1, q2, [st], tol=1e-10)
                     assert res.passed, res.details
 
 
@@ -202,7 +202,7 @@ def test_self_adjointness():
                 for st in lv.states:
                     for q in cls.charges:
                         for at in ("origin", "wall"):
-                            assert abs(susy_boundary_form(st, q, at)) < 1e-10
+                            assert abs(susy_boundary_form([st], q, at)) < 1e-10
             assert deficiency_indices(spec) == (2, 2)
         rng = np.random.default_rng(5)
         u = random_unitary_2x2(rng)
@@ -244,7 +244,7 @@ def test_domain_violation_regression():
             spec.geometry, "negative", 1.0,
             np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex), 1.0,
         )
-        res = check_domain_preservation(spec, q, wf)
+        res = check_domain_preservation(spec, (q,), [wf])
         assert not res.passed
         img = q.apply(wf)
         want = np.array([[-1j, 1j], [0.0, 0.0]]) / np.sqrt(2.0)  # i lam (x-1)e^-x up pairing

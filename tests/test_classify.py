@@ -1,5 +1,9 @@
 """Tests for SUSY degree classification and supercharge construction."""
 
+import copy
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,8 +22,10 @@ from singular_susy import (
     classify_line,
     classify_system,
     conjugate,
+    half_parity,
     half_parity_system,
     inverse_robin_length,
+    pauli_combination,
     point_condition_residual,
     random_unitary_2x2,
     robin_matrix,
@@ -268,3 +274,55 @@ def test_charge_apply_known_image():
     img = cls.charges[0].apply(wf)
     want = np.array([[-1j, 1j], [0.0, 0.0]]) / np.sqrt(2.0)
     assert np.linalg.norm(img.coeffs - want) < 1e-12
+
+
+def _charge_matrices_reference(q):
+    v_dag = q.conjugator.conj().T
+    return conjugate(v_dag, pauli_combination(q.a_vec)), conjugate(v_dag, pauli_combination(q.b_vec))
+
+
+def test_charge_matrices_are_derived_from_the_fields():
+    """kinetic_matrix, shift_matrix and shift are computed once per charge
+    and read-only; dataclasses.replace, pickle and deepcopy rebuild them
+    from the fields instead of copying them."""
+    specs = [
+        matched_robin_interval(2.0, l=1.3, L0=0.7),
+        simple_charge_interval(0.9, nu=0.4, L0=1.9),
+        reflected_crossed_interval(-1.4, lam=1.7, L0=0.3),
+        robin_line(0.6, L0=3.1),
+    ]
+    charges = [q for spec in specs for q in classify_system(spec).charges]
+    # computed once: a second read is the cached array, which replace must not carry over
+    assert all(
+        q.kinetic_matrix is q.kinetic_matrix and q.shift_matrix is q.shift_matrix for q in charges
+    )
+    tilted = [replace(q, conjugator=su2_from_euler(0.7, 1.9)) for q in charges]
+    assert all(
+        not np.allclose(t.kinetic_matrix, q.kinetic_matrix) for t, q in zip(tilted, charges)
+    )
+    charges += tilted + [replace(q, alpha=q.alpha + 0.4, c=0.3) for q in charges]
+    for q in charges:
+        for other in (q, pickle.loads(pickle.dumps(q)), copy.deepcopy(q)):
+            assert other.conjugator.tobytes() == q.conjugator.tobytes()
+            for block in (other.kinetic_matrix, other.shift_matrix, other.conjugator):
+                assert block.shape == (2, 2) and not block.flags.writeable
+            kinetic, shift = _charge_matrices_reference(other)
+            assert other.kinetic_matrix.tobytes() == kinetic.tobytes()
+            assert other.shift_matrix.tobytes() == shift.tobytes()
+            g = other.lam * inverse_robin_length(other.theta, other.L0)
+            assert other.shift == float(g * g + other.c * other.c)
+
+
+def test_reflected_charge_is_the_half_parity_conjugate(rng):
+    """A reflected charge acts as half_parity . Q . half_parity of its plain
+    twin, bitwise, on every sector."""
+    for spec in (reflected_crossed_interval(-0.5), reflected_crossed_interval(-1.4, lam=1.7, L0=0.3)):
+        for q in classify_system(spec).charges:
+            assert q.reflected
+            plain = replace(q, reflected=False)
+            for sector in ("positive", "zero", "negative"):
+                k = 0.0 if sector == "zero" else rng.uniform(0.3, 3.0)
+                coeffs = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                wf = WaveFunction(spec.geometry, sector, k, coeffs, spec.lam)
+                want = half_parity(plain.apply(half_parity(wf)))
+                assert q.apply(wf).coeffs.tobytes() == want.coeffs.tobytes()

@@ -64,6 +64,19 @@ def test_robin_length_conventions():
     assert abs(robin_length(th) + 0.5) < 1e-12
 
 
+def test_robin_length_rejects_invalid_input():
+    for fn in (robin_length, inverse_robin_length):
+        for theta in (np.pi, 3.0 * np.pi):
+            with pytest.raises(ThetaPiError):
+                fn(theta)
+        for L0 in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="L0 must be positive and finite"):
+                fn(0.5, L0)
+        for theta in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="theta must be finite"):
+                fn(theta)
+
+
 def test_robin_matrix_shape():
     m = robin_matrix(0.8)
     assert abs(m[0, 0] - np.exp(0.8j)) < 1e-12

@@ -1,5 +1,7 @@
 """Checks of the verification layer on systems with known structure."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,18 +13,25 @@ from singular_susy import (
     SystemSpec,
     WaveFunction,
     annihilates,
+    boundary_data,
     boundary_form,
     check_algebra,
     check_degeneracy_pairing,
     check_domain_preservation,
     check_lower_bound,
     classify_system,
+    connection_residual,
     deficiency_indices,
+    half_parity,
+    l2_norm,
     random_unitary_2x2,
     run_verification,
     solve_interval_spectrum,
     solve_line_bound_states,
+    solve_spectrum,
     susy_boundary_form,
+    wall_residual,
+    wf_inner,
     witten_parity_search,
 )
 
@@ -78,12 +87,12 @@ def test_susy_boundary_form_vanishes_on_eigenstates():
         for st in _all_states(sp):
             for q in cls.charges:
                 for at in ("origin", "wall"):
-                    assert abs(susy_boundary_form(st, q, at)) < 1e-10
+                    assert abs(susy_boundary_form([st], q, at)) < 1e-10
     line = robin_line(np.pi / 2)
     cls = classify_system(line)
     for st in _all_states(solve_line_bound_states(line)):
         for q in cls.charges:
-            assert abs(susy_boundary_form(st, q, "origin")) < 1e-10
+            assert abs(susy_boundary_form([st], q, "origin")) < 1e-10
 
 
 def test_deficiency_indices(rng):
@@ -118,7 +127,7 @@ def test_algebra_on_eigenstates():
         sp = solve_interval_spectrum(spec, n_levels=4)
         q1, q2 = cls.charges[0], cls.charges[-1]
         for st in _all_states(sp):
-            res = check_algebra(spec, q1, q2, st)
+            res = check_algebra(spec, q1, q2, [st])
             assert res.passed, res.details
 
 
@@ -147,8 +156,10 @@ def test_domain_preservation_annihilated_branch():
     spec = matched_robin_interval(np.pi / 2)
     cls = classify_system(spec)
     ground = WaveFunction(spec.geometry, "negative", 1.0, np.array([[1.0, -1.0], [0.0, 0.0]], dtype=complex), 1.0)
-    res = check_domain_preservation(spec, cls.charges[0], ground)
-    assert res.passed and res.details == "annihilated" and res.residual == 0.0
+    # the image is rounding junk with no boundary geometry: it reads residual 0
+    assert annihilates(cls.charges[0], ground)
+    res = check_domain_preservation(spec, cls.charges[:1], [ground])
+    assert res.passed and res.details == "1 states x 1 charges" and res.residual == 0.0
 
 
 def test_domain_preservation_fails_off_domain():
@@ -158,7 +169,7 @@ def test_domain_preservation_fails_off_domain():
     cls = classify_system(spec)
     q = next(c for c in cls.charges if np.allclose(c.kinetic_matrix, SIGMA1))
     wf = WaveFunction(spec.geometry, "negative", 1.0, np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex), 1.0)
-    res = check_domain_preservation(spec, q, wf)
+    res = check_domain_preservation(spec, (q,), [wf])
     assert not res.passed
     assert res.residual == pytest.approx(2.0, rel=1e-12)
 
@@ -192,3 +203,136 @@ def test_report_shape():
     d = rep.as_dict()
     assert d["all_passed"] is True
     assert all(set(c) == {"name", "passed", "residual", "tolerance", "details"} for c in d["checks"])
+
+
+# --- per-state reference for the stacked battery ----------------------------
+# The checks as they were written before run_verification stacked its
+# states: one Python call chain per (state, charge, end), on the public
+# per-state operations.
+
+
+def _reference_domain(spec, charge, wf):
+    image = charge.apply(wf)
+    floor = 1e-12 * (
+        (charge.lam * (wf.wavenumber + 1.0) + np.sqrt(charge.shift) + 1.0)
+        * np.linalg.norm(wf.coeffs)
+    )
+    if np.linalg.norm(image.coeffs) <= floor:
+        return 0.0
+    r = connection_residual(spec, boundary_data(image, "origin"))
+    if spec.geometry.is_interval:
+        r = max(r, wall_residual(spec, boundary_data(image, "wall")))
+    return r
+
+
+def _reference_algebra(q1, q2, wf):
+    e = wf.energy
+    cn = np.linalg.norm(wf.coeffs)
+    worst = 0.0
+    for q in (q1,) if q1 is q2 else (q1, q2):
+        twice = q.apply(q.apply(wf))
+        scale = abs(e) + q.shift or wf.lam**2
+        worst = max(worst, float(np.linalg.norm(twice.coeffs - 0.5 * (e + q.shift) * wf.coeffs) / (scale * cn)))
+    if q1 is not q2:
+        cross = q1.apply(q2.apply(wf)).coeffs + q2.apply(q1.apply(wf)).coeffs
+        scale = abs(e) + max(q1.shift, q2.shift) or wf.lam**2
+        worst = max(worst, float(np.linalg.norm(cross) / (scale * cn)))
+    return worst
+
+
+def _reference_pairing(cls, spectrum):
+    worst, annihilated, moved = 0.0, 0, 0
+    for level in spectrum.levels:
+        for q in cls.charges:
+            for st in level.states:
+                img = q.apply(st)
+                inorm = l2_norm(img)
+                if inorm <= 1e-12 * (q.lam * (st.wavenumber + 1.0) + np.sqrt(q.shift) + 1.0):
+                    annihilated += 1
+                    continue
+                moved += 1
+                left = img.coeffs.copy()
+                for s2 in level.states:
+                    left = left - wf_inner(s2, img) * s2.coeffs
+                worst = max(worst, float(l2_norm(replace(img, coeffs=left)) / inorm))
+    return worst, "%d images in span, %d annihilated" % (moved, annihilated)
+
+
+def _reference_form(wf, charge, at):
+    if charge.reflected:
+        wf = half_parity(wf)
+    return boundary_form(wf, wf, charge.kinetic_matrix, at)
+
+
+def _reference_battery(spec, n_levels, tol=1e-8):
+    """(name, passed, residual) of every check, computed state by state."""
+    spectrum = solve_spectrum(spec, n_levels)
+    cls = classify_system(spec, spectrum)
+    states = _all_states(spectrum)
+    out = [("classification", True, 0.0)]
+    if cls.charges and states:
+        r = max(_reference_domain(spec, q, st) for q in cls.charges for st in states)
+        out.append(("domain preservation", r <= tol, r))
+        r = max(_reference_algebra(cls.charges[0], cls.charges[-1], st) for st in states)
+        out.append(("algebra", r <= 1e-10, r))
+        r, counts = _reference_pairing(cls, spectrum)
+        out.append(("degeneracy pairing", r <= tol, r, counts))
+        ends = ("origin", "wall") if spec.geometry.is_interval else ("origin",)
+        r = max(abs(_reference_form(st, q, at)) for st in states for q in cls.charges for at in ends)
+        out.append(("boundary form", r <= 1e-10, r))
+        lower = check_lower_bound(spec, cls, spectrum)
+        out += [("lower bound", lower.passed, lower.residual), ("witten parity", True, 0.0)]
+    out.append(("deficiency indices", True, 0.0))
+    return out
+
+
+_BATTERY_SYSTEMS = [
+    matched_robin_interval(0.0),  # a zero-sector ground
+    matched_robin_interval(np.pi / 4),
+    matched_robin_interval(2.5, l=1.3, L0=0.7),
+    crossed_robin_interval(-0.5),
+    reflected_crossed_interval(-0.5),
+    reflected_crossed_interval(-1.4, lam=1.7, L0=0.3),
+    simple_charge_interval(np.pi / 3),
+    simple_charge_interval(0.9, nu=0.4, L0=1.9),
+    robin_line(np.pi / 2),
+    robin_line(0.6, L0=3.1),
+]
+
+
+@pytest.mark.parametrize("n_levels", [1, 8, 20])
+def test_battery_matches_per_state_reference(n_levels):
+    for spec in _BATTERY_SYSTEMS:
+        got = run_verification(spec, n_levels).checks
+        want = _reference_battery(spec, n_levels)
+        assert [c.name for c in got] == [w[0] for w in want]
+        for c, w in zip(got, want):
+            assert c.passed == w[1], (c.name, c.details)
+            assert abs(c.residual - w[2]) <= 1e-15, (c.name, c.residual, w[2])
+            if c.name == "degeneracy pairing":
+                assert c.details.startswith(w[3] + ","), c.details
+
+
+def test_battery_fails_on_one_foreign_state(rng):
+    """One state of another Hamiltonian (coefficients off the boundary
+    conditions, kinetic scale 2 where the charges have 1) among good ones,
+    one of them annihilated, fails domain preservation and the algebra at
+    every position in the batch, with the foreign state's own residual."""
+    spec = matched_robin_interval(np.pi / 2)
+    cls = classify_system(spec)
+    good = _all_states(solve_interval_spectrum(spec, n_levels=4))
+    assert annihilates(cls.charges[0], good[0])
+    coeffs = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    foreign = WaveFunction(spec.geometry, "positive", 2.3, coeffs, 2.0)
+    q1, q2 = cls.charges
+    for checks in (
+        lambda batch: check_domain_preservation(spec, cls.charges, batch),
+        lambda batch: check_algebra(spec, q1, q2, batch),
+    ):
+        assert checks(good).passed
+        alone = checks([foreign])
+        assert not alone.passed
+        for at in range(len(good) + 1):
+            res = checks(good[:at] + [foreign] + good[at:])
+            assert not res.passed
+            assert res.residual == pytest.approx(alone.residual, rel=1e-12), res.details
