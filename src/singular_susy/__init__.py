@@ -63,8 +63,6 @@ from .classify import (
     SusyClassification,
     admits_susy_at_point,
     annihilates,
-    classify_interval,
-    classify_line,
     classify_system,
     half_parity_system,
     point_condition_residual,
@@ -72,7 +70,6 @@ from .classify import (
 from .verify import (
     CheckResult,
     VerificationReport,
-    boundary_form,
     check_algebra,
     check_degeneracy_pairing,
     check_domain_preservation,

@@ -3,16 +3,18 @@
 A first-order charge Q = (-i lam d/dx (V^dag sigma_a V) + V^dag sigma_b V)/sqrt(2)
 preserves the domain fixed by a boundary matrix M exactly when M has
 eigenvalues {-1, e^{i theta}} with theta != pi and the shift vector is tied
-to theta through the Robin length.  On an interval the charge must satisfy
-the condition at both ends at once; comparing the two diagonalizing frames
-through their relative Euler tilt mu decides between an alpha-family of two
-charges (N2), a single charge with a fixed sigma3 shift component (N1), or
-none.
+to theta through the Robin length.  One charge finder serves both
+geometries: the line is the interval without a wall, so the condition at
+x = 0 alone leaves an alpha-family of two charges (N2).  On an interval the
+charge must satisfy the wall condition as well; comparing the two
+diagonalizing frames through their relative Euler tilt mu decides between
+N2, a single charge with a fixed sigma3 shift component (N1), or none.
 
-Systems with no -1 eigenvalue at all (both boundary matrices proportional
-to the identity arise as reflections of solved ones) are classified by
-transporting the charges of the upper-component-reflected system; such
-charges carry reflected=True and apply() folds the reflection in.
+Interval systems with diagonal U whose boundary matrices lack the pair
+(both proportional to the identity arise as reflections of solved ones)
+are classified by transporting the charges of the upper-component-reflected
+system; such charges carry reflected=True and apply() folds the reflection
+in.  classify_system builds every classification.
 """
 
 from __future__ import annotations
@@ -207,16 +209,6 @@ def annihilates(charge: SuperchargeSpec, wf: WaveFunction, tol: float = 1e-10) -
     return float(np.linalg.norm(image)) <= tol * max(scale, 1e-300)
 
 
-def _gauge_fixed(v: np.ndarray) -> np.ndarray:
-    """Canonical two-angle representative of a diagonalizing frame.
-
-    Diagonalizers are unique only up to a diagonal phase on the left; the
-    Euler extraction is blind to that phase, so rebuilding from (mu, nu)
-    pins the gauge without disturbing V^dag D V.
-    """
-    return su2_from_euler(*euler_angles_of(v))
-
-
 def _is_diagonal(m: np.ndarray, tol: float = 1e-10) -> bool:
     return max(abs(m[0, 1]), abs(m[1, 0])) <= tol
 
@@ -238,41 +230,27 @@ def _goodness(
     return "Broken"
 
 
-def classify_line(
-    spec: SystemSpec, spectrum: spectra.Spectrum | None = None
-) -> SusyClassification:
-    """N2 with an alpha-family of charges iff U has the {-1, e^{i theta}}
-    eigenvalue pair; goodness is decided on the lowest bound state of
-    spectrum, which is solved when not given."""
-    if spec.geometry.is_interval:
-        raise GeometryMismatchError("classify_interval handles interval systems")
-    found = admits_susy_at_point(spec.U)
-    if found is None:
-        return SusyClassification(
-            "none", (), 0.0, "NotApplicable", ("eigenvalues of U are not {-1, e^{i theta != pi}}",)
-        )
-    theta, v_raw = found
-    v = _gauge_fixed(v_raw)
-    pair = (
-        SuperchargeSpec(0.0, 0.0, theta, spec.lam, spec.L0, v),
-        SuperchargeSpec(np.pi / 2.0, 0.0, theta, spec.lam, spec.L0, v),
-    )
-    return SusyClassification(
-        "N2",
-        pair,
-        pair[0].shift,
-        _goodness(spec, pair, spectrum),
-        ("alpha is free; the canonical alpha = 0, pi/2 pair is stored",),
-    )
+def _degree(spec: SystemSpec, allow_reflection: bool = True):
+    """(degree, charges, notes) of the charges that keep the domain.
 
-
-def _interval_degree(spec: SystemSpec, allow_reflection: bool):
+    U must admit a charge, which fixes theta and its frame.  The line has
+    no wall, so the whole alpha-family survives (N2).  On the interval Dl
+    must admit one too; the relative Euler tilt mu between the two frames
+    then selects the branch: mu in {0, pi} with matching phases keeps the
+    family (N2), and any other tilt fixes alpha = pi/2 and the sigma3
+    component c, leaving a single charge (N1).  The frames are rebuilt
+    from their Euler angles, which pins the diagonal-phase gauge that
+    diagonalizers leave free without disturbing V^dag D V.
+    """
+    interval = spec.geometry.is_interval
     found_u = admits_susy_at_point(spec.U)
-    found_d = admits_susy_at_point(spec.Dl)
+    found_d = admits_susy_at_point(spec.Dl) if interval else found_u
     if found_u is None or found_d is None:
+        if not interval:
+            return "none", (), ("eigenvalues of U are not {-1, e^{i theta != pi}}",)
         if allow_reflection and _is_diagonal(spec.U):
             mirrored = half_parity_system(spec)
-            degree, charges, notes = _interval_degree(mirrored, allow_reflection=False)
+            degree, charges, notes = _degree(mirrored, allow_reflection=False)
             if degree != "none":
                 dressed = tuple(replace(q, reflected=True) for q in charges)
                 return (
@@ -284,13 +262,14 @@ def _interval_degree(spec: SystemSpec, allow_reflection: bool):
     theta, v_raw = found_u
     theta_l, _ = found_d
     # normalize the wall frame: a -1 in the upper-left slot is swapped down
-    swapped = abs(spec.Dl[1, 1] + 1.0) > _PHASE_TOL
+    swapped = interval and abs(spec.Dl[1, 1] + 1.0) > _PHASE_TOL
     s = 1j * SIGMA1 if swapped else IDENTITY
     mu, nu = euler_angles_of(v_raw @ s.conj().T)
     v = su2_from_euler(mu, nu) @ s
-    if (mu < _PHASE_TOL and circular_distance(theta, theta_l) < _PHASE_TOL) or (
-        abs(mu - np.pi) < _PHASE_TOL
-        and circular_distance(theta, -theta_l) < _PHASE_TOL
+    if (
+        not interval
+        or (mu < _PHASE_TOL and circular_distance(theta, theta_l) < _PHASE_TOL)
+        or (abs(mu - np.pi) < _PHASE_TOL and circular_distance(theta, -theta_l) < _PHASE_TOL)
     ):
         pair = (
             SuperchargeSpec(0.0, 0.0, theta, spec.lam, spec.L0, v),
@@ -302,42 +281,22 @@ def _interval_degree(spec: SystemSpec, allow_reflection: bool):
         invl = inverse_robin_length(theta_l, spec.L0)
         c = spec.lam * (invl - inv0 * np.cos(mu)) / np.sin(mu)
         charge = SuperchargeSpec(np.pi / 2.0, c, theta, spec.lam, spec.L0, v)
-        return (
-            "N1",
-            (charge,),
-            ("alpha = -pi/2 yields the same charge up to overall sign",),
-        )
+        return "N1", (charge,), ("alpha = -pi/2 yields the same charge up to overall sign",)
     return "none", (), ("frame tilt and boundary phases are incompatible",)
-
-
-def classify_interval(
-    spec: SystemSpec, spectrum: spectra.Spectrum | None = None
-) -> SusyClassification:
-    """Full interval classification: N2 / N1 / none plus goodness.
-
-    Both boundary matrices must admit a charge individually; the relative
-    Euler tilt mu between their frames then selects the branch.  mu in
-    {0, pi} with matching phases keeps the whole alpha-family (N2); any
-    other tilt fixes alpha = pi/2 and the sigma3 component c, leaving a
-    single charge (N1).  Goodness is read off the ground level of
-    spectrum, which is solved when not given.
-    """
-    if not spec.geometry.is_interval:
-        raise GeometryMismatchError("classify_line handles line systems")
-    degree, charges, notes = _interval_degree(spec, allow_reflection=True)
-    if degree == "none":
-        return SusyClassification("none", (), 0.0, "NotApplicable", notes)
-    return SusyClassification(
-        degree, charges, charges[0].shift, _goodness(spec, charges, spectrum), notes
-    )
 
 
 def classify_system(
     spec: SystemSpec, spectrum: spectra.Spectrum | None = None
 ) -> SusyClassification:
-    if spec.geometry.is_interval:
-        return classify_interval(spec, spectrum)
-    return classify_line(spec, spectrum)
+    """SUSY degree (N2 / N1 / none), charges, shift |b|^2 and goodness of a
+    line or interval system.  Goodness is read off the ground level of
+    spectrum, which is solved when not given."""
+    degree, charges, notes = _degree(spec)
+    if degree == "none":
+        return SusyClassification("none", (), 0.0, "NotApplicable", notes)
+    return SusyClassification(
+        degree, charges, charges[0].shift, _goodness(spec, charges, spectrum), notes
+    )
 
 
 def half_parity_system(spec: SystemSpec) -> SystemSpec:

@@ -199,7 +199,8 @@ def _itp_root(g, a: float, b: float, ga: float, gb: float, xtol: float) -> float
     whose radius leaves room for only _ITP_N0 steps more than bisection
     would take.  The bracket is kept at every step, at most
     ceil(log2((b - a) / xtol)) + _ITP_N0 values of g are taken, and on a
-    smooth g the steps converge superlinearly.
+    smooth g the steps converge superlinearly.  Returns the end of the
+    final bracket where |g| is smaller.
     """
     eps = 0.5 * xtol
     kappa1 = _ITP_K1 / (b - a)
@@ -224,7 +225,8 @@ def _itp_root(g, a: float, b: float, ga: float, gb: float, xtol: float) -> float
             a, ga = x, gx
         else:
             b, gb = x, gx
-    return 0.5 * (a + b)
+    # both ends bracket the root; the one with the smaller |g| is the closer estimate
+    return a if abs(ga) <= abs(gb) else b
 
 
 def _merged(found: list) -> list:

@@ -24,13 +24,11 @@ from .matkit import _phase_fixed, pauli_combination, pauli_vector
 from . import spectra
 from .system import (
     SystemSpec,
-    WaveFunction,
     _boundary_values,
     _endpoint,
     _form_residual,
     _gram,
     _norms,
-    boundary_data,
     half_parity_coeffs,
 )
 
@@ -220,13 +218,6 @@ def check_degeneracy_pairing(
         worst,
     )
     return CheckResult("degeneracy pairing", worst <= tol, worst, tol, details)
-
-
-def boundary_form(wf1: WaveFunction, wf2: WaveFunction, a_matrix, at: str = "origin") -> complex:
-    """Sesquilinear endpoint form Psi_1(x0)^dag A Psi_2(x0)."""
-    b1 = boundary_data(wf1, at)
-    b2 = boundary_data(wf2, at)
-    return complex(b1.psi.conj() @ (np.asarray(a_matrix, dtype=complex) @ b2.psi))
 
 
 def susy_boundary_form(states, charge: SuperchargeSpec, at: str = "origin") -> np.ndarray:

@@ -18,8 +18,6 @@ from singular_susy import (
     WaveFunction,
     admits_susy_at_point,
     annihilates,
-    classify_interval,
-    classify_line,
     classify_system,
     conjugate,
     half_parity,
@@ -171,13 +169,6 @@ def test_line_theta_near_pi_is_good(eps, conjugated):
     assert cls.degree == "N2" and cls.goodness == "Good"
     ground = spectrum.ground.energy
     assert abs(cls.shift + ground) <= 1e-9 * abs(ground)
-
-
-def test_geometry_dispatch():
-    with pytest.raises(GeometryMismatchError):
-        classify_line(matched_robin_interval(1.0))
-    with pytest.raises(GeometryMismatchError):
-        classify_interval(robin_line(1.0))
 
 
 def _rotation_angle(k1w, k2w, kprime):

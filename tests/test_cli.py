@@ -1,6 +1,7 @@
 """End-to-end checks of the command line front end, run in process."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ LINE = {
     "geometry": {"type": "line"},
     "U": {"form": "angles", "theta": np.pi / 2},
 }
+
+GOLDEN = Path(__file__).parent / "golden" / "classify"
 
 
 def _write(tmp_path, obj, name="sys.json"):
@@ -119,6 +122,18 @@ def test_double_run_is_byte_identical(tmp_path, capsys):
     first = capsys.readouterr().out
     cli.main(["spectrum", "--config", path, "--format", "csv"])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name[: -len(".config.json")] for p in GOLDEN.glob("*.config.json"))
+)
+def test_classify_json_matches_golden(name, capsys):
+    """One config per branch of the charge finder (line N2, none, tilted
+    frame; interval N2, N1, none, transported and swapped-wall cases):
+    classify output is compared byte for byte with the committed JSON."""
+    rc = cli.main(["classify", "--config", str(GOLDEN / (name + ".config.json"))])
+    assert rc == 0
+    assert capsys.readouterr().out == (GOLDEN / (name + ".classify.json")).read_text()
 
 
 def test_half_parity_round_trip(tmp_path, capsys):

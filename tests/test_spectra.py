@@ -727,3 +727,20 @@ def test_itp_returns_an_exact_zero_as_is():
     assert (g(b) * a - g(a) * b) / (g(b) - g(a)) == a
     q, calls = _itp_on(g, a, b)
     assert calls == [mid] and q == mid
+
+
+def test_matched_robin_ground_to_rounding():
+    """U = Dl = robin_matrix(theta) has its ground at kappa = tan(theta/2)/L0
+    exactly.  The refined root is the end of the final bracket with the
+    smaller |g|, which sits within rounding of the root; the midpoint of
+    that bracket would be up to half its width (_XTOL) off."""
+    rng = np.random.default_rng(2)
+    worst = 0.0
+    for _ in range(200):
+        theta, l = rng.uniform(0.2, 2.6), rng.uniform(0.6, 2.0)
+        m = robin_matrix(theta)
+        sp = solve_interval_spectrum(SystemSpec(Geometry.interval(l), m, m), n_levels=1)
+        exact = math.tan(theta / 2.0)
+        assert sp.ground.sector == "negative"
+        worst = max(worst, abs(sp.ground.wavenumber - exact) / exact)
+    assert worst <= 2e-15

@@ -14,7 +14,6 @@ from singular_susy import (
     WaveFunction,
     annihilates,
     boundary_data,
-    boundary_form,
     check_algebra,
     check_degeneracy_pairing,
     check_domain_preservation,
@@ -72,12 +71,19 @@ def test_ground_state_annihilated_when_good():
     assert excited and not any(annihilates(q, excited[0]) for q in cls.charges)
 
 
+def _boundary_form(wf1, wf2, a_matrix, at="origin"):
+    """Per-state reference: the sesquilinear endpoint form Psi_1(x0)^dag A Psi_2(x0)."""
+    b1 = boundary_data(wf1, at)
+    b2 = boundary_data(wf2, at)
+    return complex(b1.psi.conj() @ (np.asarray(a_matrix, dtype=complex) @ b2.psi))
+
+
 def test_boundary_form_primitive():
     geo = Geometry.interval(1.0)
     wf1 = WaveFunction(geo, "negative", 1.0, np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex), 1.0)
     wf2 = WaveFunction(geo, "negative", 1.0, np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex), 1.0)
-    assert abs(boundary_form(wf1, wf2, SIGMA2, "origin") - (-1j)) < 1e-14
-    assert abs(boundary_form(wf2, wf1, SIGMA2, "origin") - 1j) < 1e-14
+    assert abs(_boundary_form(wf1, wf2, SIGMA2, "origin") - (-1j)) < 1e-14
+    assert abs(_boundary_form(wf2, wf1, SIGMA2, "origin") - 1j) < 1e-14
 
 
 def test_susy_boundary_form_vanishes_on_eigenstates():
@@ -261,7 +267,7 @@ def _reference_pairing(cls, spectrum):
 def _reference_form(wf, charge, at):
     if charge.reflected:
         wf = half_parity(wf)
-    return boundary_form(wf, wf, charge.kinetic_matrix, at)
+    return _boundary_form(wf, wf, charge.kinetic_matrix, at)
 
 
 def _reference_battery(spec, n_levels, tol=1e-8):
