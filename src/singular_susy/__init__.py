@@ -12,6 +12,7 @@ from .errors import (
     NotUnitaryError,
     OutOfDomainError,
     ParseError,
+    PrecisionLossError,
     SingularSusyError,
     ThetaPiError,
 )

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,36 +25,23 @@ from . import spectra
 from .system import Geometry, SystemSpec, robin_matrix, theta_for_scale
 from .verify import run_verification
 
-COMMANDS = ("classify", "spectrum", "verify", "scan", "half-parity")
 JSON_ONLY = ("classify", "verify", "half-parity")
 SCAN_PARAMS = ("theta", "theta_l", "mu", "L")
 _SECTOR_SHORT = {"positive": "pos", "zero": "zero", "negative": "neg"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    system: SystemSpec
-    raw: dict | None = None
-    n_levels: int = 10
-    fmt: str | None = None
-    output: str | None = None
-    scan: dict | None = None
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValueError("unknown command %r" % (self.command,))
-        if self.n_levels < 1:
-            raise ValueError("n_levels must be at least 1")
-        if (self.scan is not None) != (self.command == "scan"):
-            raise ValueError("scan parameters go with the scan command only")
+def _finite(x) -> bool:
+    """True for a JSON number (not a bool) with a finite float value."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an integer literal past the float range
+        return False
 
 
-def _num(node: dict, key: str, where: str) -> float:
+def _num(node: dict, key: str, where: str, positive: bool = False) -> float:
     v = node.get(key)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ParseError("%s: number required" % where)
+    if not _finite(v) or (positive and not v > 0):
+        raise ParseError("%s: finite %snumber required" % (where, "positive " if positive else ""))
     return float(v)
 
 
@@ -65,7 +52,7 @@ def _entries(node, where: str) -> np.ndarray:
         or any(
             not isinstance(p, list)
             or len(p) != 2
-            or any(not isinstance(x, (int, float)) or isinstance(x, bool) for x in p)
+            or not all(_finite(x) for x in p)
             for p in node
         )
     ):
@@ -119,6 +106,7 @@ def system_from_config(raw) -> SystemSpec:
       Dl: {"theta_l": t} meaning diag(e^{i t}, -1), or {"entries": ...};
           required for intervals, forbidden on the line
       lambda, L0: positive floats, both default 1.0
+    Every number must be finite; a bad field raises ParseError naming it.
     """
     if not isinstance(raw, dict):
         raise ParseError("top level: object required")
@@ -129,17 +117,14 @@ def system_from_config(raw) -> SystemSpec:
     if kind == "line":
         geometry = Geometry.line()
     elif kind == "interval":
-        l = geo.get("l")
-        if not isinstance(l, (int, float)) or isinstance(l, bool) or not l > 0:
-            raise ParseError("geometry.l: positive number required")
-        geometry = Geometry.interval(float(l))
+        geometry = Geometry.interval(_num(geo, "l", "geometry.l", positive=True))
     else:
         raise ParseError("geometry.type: 'line' or 'interval' required")
     if "U" not in raw:
         raise ParseError("U: required")
     u = _parse_u(raw["U"])
-    lam = _num(raw, "lambda", "lambda") if "lambda" in raw else 1.0
-    L0 = _num(raw, "L0", "L0") if "L0" in raw else 1.0
+    lam = _num(raw, "lambda", "lambda", positive=True) if "lambda" in raw else 1.0
+    L0 = _num(raw, "L0", "L0", positive=True) if "L0" in raw else 1.0
     dl = _parse_dl(raw["Dl"]) if raw.get("Dl") is not None else None
     return SystemSpec(geometry, u, dl, lam=lam, L0=L0)
 
@@ -170,8 +155,17 @@ def _dump_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _g12(x: float) -> str:
-    return "%.12g" % x
+def _cell(x) -> str:
+    if x is None:
+        return ""
+    return "%.12g" % x if isinstance(x, float) else str(x)
+
+
+def _csv(header: tuple, rows: list) -> str:
+    """CSV of row dicts in header order: floats to 12 significant digits,
+    None as an empty cell."""
+    lines = [",".join(header)] + [",".join(_cell(r[k]) for k in header) for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _charge_dict(q) -> dict:
@@ -189,23 +183,8 @@ def _charge_dict(q) -> dict:
     }
 
 
-def _level_rows(spectrum: spectra.Spectrum, n_levels: int) -> list:
-    rows = []
-    for i, lv in enumerate(spectrum.levels[:n_levels]):
-        rows.append(
-            {
-                "index": i,
-                "sector": _SECTOR_SHORT[lv.sector],
-                "k_or_kappa": lv.wavenumber,
-                "energy": lv.energy,
-                "multiplicity": lv.multiplicity,
-            }
-        )
-    return rows
-
-
-def _render_classify(config: RunConfig) -> tuple[str, int]:
-    cls = classify_system(config.system)
+def _render_classify(spec: SystemSpec, args) -> tuple[str, int]:
+    cls = classify_system(spec)
     payload = {
         "degree": cls.degree,
         "goodness": cls.goodness,
@@ -216,44 +195,39 @@ def _render_classify(config: RunConfig) -> tuple[str, int]:
     return _dump_json(payload), 0
 
 
-def _render_spectrum(config: RunConfig) -> tuple[str, int]:
-    spectrum = spectra.solve_spectrum(config.system, config.n_levels)
-    rows = _level_rows(spectrum, config.n_levels)
-    if config.fmt == "json":
+def _render_spectrum(spec: SystemSpec, args) -> tuple[str, int]:
+    spectrum = spectra.solve_spectrum(spec, args.n_levels)
+    rows = [
+        {
+            "index": i,
+            "sector": _SECTOR_SHORT[lv.sector],
+            "k_or_kappa": lv.wavenumber,
+            "energy": lv.energy,
+            "multiplicity": lv.multiplicity,
+        }
+        for i, lv in enumerate(spectrum.levels[: args.n_levels])
+    ]
+    if args.fmt == "json":
         payload = {
             "levels": rows,
             "scan_window": list(spectrum.scan_window),
             "solver_report": spectrum.solver_report,
         }
         return _dump_json(payload), 0
-    lines = ["index,sector,k_or_kappa,energy,multiplicity"]
-    for r in rows:
-        lines.append(
-            "%d,%s,%s,%s,%d"
-            % (
-                r["index"],
-                r["sector"],
-                _g12(r["k_or_kappa"]),
-                _g12(r["energy"]),
-                r["multiplicity"],
-            )
-        )
-    return "\n".join(lines) + "\n", 0
+    return _csv(("index", "sector", "k_or_kappa", "energy", "multiplicity"), rows), 0
 
 
-def _render_verify(config: RunConfig) -> tuple[str, int]:
-    report = run_verification(config.system, n_levels=config.n_levels, tol=config.tol)
+def _render_verify(spec: SystemSpec, args) -> tuple[str, int]:
+    report = run_verification(spec, n_levels=args.n_levels, tol=args.tol)
     return _dump_json(report.as_dict()), 0 if report.all_passed else 1
 
 
-def _scan_configs(config: RunConfig):
-    raw = config.raw
-    scan = config.scan
+def _scan_configs(spec: SystemSpec, raw: dict, scan: dict):
     param = scan["param"]
     u_node = raw.get("U")
     if not isinstance(u_node, dict) or u_node.get("form") != "angles":
         raise ParseError("scan: angle-form U required")
-    interval = config.system.geometry.is_interval
+    interval = spec.geometry.is_interval
     if param == "theta_l" and not interval:
         raise ParseError("scan: theta_l needs an interval system")
     if interval and param in ("theta", "theta_l", "L"):
@@ -274,83 +248,56 @@ def _scan_configs(config: RunConfig):
         yield value, node
 
 
-def _render_scan(config: RunConfig) -> tuple[str, int]:
-    param = config.scan["param"]
+def _render_scan(spec: SystemSpec, args) -> tuple[str, int]:
+    param = args.scan["param"]
+    header = ("param", "value", "degree", "shift", "ground_energy", "goodness")
     rows = []
-    for value, node in _scan_configs(config):
+    # the sweep rewrites the angle-form nodes, which spec no longer holds
+    for value, node in _scan_configs(spec, json.loads(args.text), args.scan):
         try:
-            spec = system_from_config(node)
-            spectrum = spectra.solve_spectrum(spec, 1)
-            cls = classify_system(spec, spectrum)
+            point = system_from_config(node)
+            spectrum = spectra.solve_spectrum(point, 1)
+            cls = classify_system(point, spectrum)
             ground = spectrum.ground.energy if spectrum.ground else None
-            rows.append((value, cls.degree, cls.shift, ground, cls.goodness))
+            row = (param, value, cls.degree, cls.shift, ground, cls.goodness)
         except SingularSusyError:
-            rows.append((value, "error", None, None, "error"))
-    if config.fmt == "json":
-        payload = [
-            {
-                "param": param,
-                "value": v,
-                "degree": d,
-                "shift": s,
-                "ground_energy": g,
-                "goodness": good,
-            }
-            for v, d, s, g, good in rows
-        ]
-        return _dump_json(payload), 0
-    lines = ["param,value,degree,shift,ground_energy,goodness"]
-    for v, d, s, g, good in rows:
-        lines.append(
-            "%s,%s,%s,%s,%s,%s"
-            % (
-                param,
-                _g12(v),
-                d,
-                "" if s is None else _g12(s),
-                "" if g is None else _g12(g),
-                good,
-            )
-        )
-    return "\n".join(lines) + "\n", 0
+            row = (param, value, "error", None, None, "error")
+        rows.append(dict(zip(header, row)))
+    if args.fmt == "json":
+        return _dump_json(rows), 0
+    return _csv(header, rows), 0
 
 
-def _render_half_parity(config: RunConfig) -> tuple[str, int]:
-    mirrored = half_parity_system(config.system)
-    return _dump_json(system_to_config(mirrored)), 0
+def _render_half_parity(spec: SystemSpec, args) -> tuple[str, int]:
+    return _dump_json(system_to_config(half_parity_system(spec))), 0
 
 
-def run(config: RunConfig) -> int:
-    render = {
-        "classify": _render_classify,
-        "spectrum": _render_spectrum,
-        "verify": _render_verify,
-        "scan": _render_scan,
-        "half-parity": _render_half_parity,
-    }[config.command]
-    text, code = render(config)
-    if config.output:
-        Path(config.output).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return code
+_RENDER = {
+    "classify": _render_classify,
+    "spectrum": _render_spectrum,
+    "verify": _render_verify,
+    "scan": _render_scan,
+    "half-parity": _render_half_parity,
+}
 
 
 def _parse_scan_flag(value: str) -> dict:
     parts = value.split(":")
     if len(parts) != 4:
-        raise ValueError("expected PARAM:FROM:TO:STEPS")
+        raise argparse.ArgumentTypeError("expected PARAM:FROM:TO:STEPS")
     param, lo, hi, steps = parts
     if param not in SCAN_PARAMS:
-        raise ValueError("param must be one of %s" % ", ".join(SCAN_PARAMS))
+        raise argparse.ArgumentTypeError("param must be one of %s" % ", ".join(SCAN_PARAMS))
     try:
         lo = float(lo)
         hi = float(hi)
         steps = int(steps)
     except ValueError:
-        raise ValueError("FROM and TO must be numbers, STEPS an integer")
+        raise argparse.ArgumentTypeError("FROM and TO must be numbers, STEPS an integer")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError("FROM and TO must be finite")
     if steps < 2:
-        raise ValueError("STEPS must be at least 2")
+        raise argparse.ArgumentTypeError("STEPS must be at least 2")
     return {"param": param, "lo": lo, "hi": hi, "steps": steps}
 
 
@@ -359,12 +306,12 @@ def main(argv=None) -> int:
         prog="singular-susy",
         description="Classify, solve, and verify point-singularity SUSY systems.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_RENDER)
     parser.add_argument("--config", required=True, metavar="PATH", help="system JSON")
     parser.add_argument("--n-levels", type=int, default=10, dest="n_levels")
     parser.add_argument("--output", metavar="PATH")
     parser.add_argument("--format", choices=("json", "csv"), dest="fmt")
-    parser.add_argument("--scan", metavar="PARAM:FROM:TO:STEPS")
+    parser.add_argument("--scan", type=_parse_scan_flag, metavar="PARAM:FROM:TO:STEPS")
     args = parser.parse_args(argv)
     if args.command == "scan" and not args.scan:
         parser.error("scan requires --scan PARAM:FROM:TO:STEPS")
@@ -374,37 +321,28 @@ def main(argv=None) -> int:
         parser.error("%s output is JSON only" % args.command)
     if args.n_levels < 1:
         parser.error("--n-levels must be at least 1")
-    scan = None
-    if args.scan:
-        try:
-            scan = _parse_scan_flag(args.scan)
-        except ValueError as exc:
-            parser.error("--scan: %s" % exc)
+    # the renderers read the tolerance and the config text from args
     try:
-        tol = float(os.environ.get("SINGULAR_SUSY_TOL", "1e-8"))
+        args.tol = float(os.environ.get("SINGULAR_SUSY_TOL", "1e-8"))
     except ValueError:
-        parser.error("SINGULAR_SUSY_TOL must be a number")
+        args.tol = math.nan
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        parser.error("SINGULAR_SUSY_TOL must be a finite positive number")
     try:
-        text = Path(args.config).read_text()
+        args.text = Path(args.config).read_text()
     except OSError as exc:
         print("error: cannot read config: %s" % exc, file=sys.stderr)
         return 1
     try:
-        spec = load_system(text)
-        config = RunConfig(
-            command=args.command,
-            system=spec,
-            raw=json.loads(text),
-            n_levels=args.n_levels,
-            fmt=args.fmt,
-            output=args.output,
-            scan=scan,
-            tol=tol,
-        )
-        return run(config)
+        text, code = _RENDER[args.command](load_system(args.text), args)
     except SingularSusyError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    if args.output:
+        Path(args.output).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -29,5 +29,9 @@ class NotNormalizableError(SingularSusyError):
     """The wavefunction has no finite L2 norm on its geometry."""
 
 
+class PrecisionLossError(SingularSusyError):
+    """A result that float64 arithmetic cannot resolve; the message names the regime."""
+
+
 class ParseError(SingularSusyError):
     """A JSON system description is malformed; the message names the field."""

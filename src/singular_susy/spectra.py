@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GeometryMismatchError
+from .errors import GeometryMismatchError, PrecisionLossError
 from .matkit import _phase_fixed, diagonalize_u2
 from .system import (
     SystemSpec,
@@ -399,7 +399,13 @@ def _interval_level(spec: SystemSpec, sector: str, q: float) -> Level | None:
             continue
         if wall_residual(spec, boundary_data(wf, "wall")) > 1e-8:
             continue
-        states.append(normalize(wf))
+        try:
+            states.append(normalize(wf))
+        except ValueError:  # the zero wavefunction: the Gram form cancelled
+            raise PrecisionLossError(
+                "state at kappa*l = %.6g cannot be normalized: its norm cancels in the "
+                "cosh/sinh basis" % (q * spec.geometry.l)
+            ) from None
     states = _orthonormalized(states)
     if not states:
         return None

@@ -18,6 +18,8 @@ from singular_susy import (
 )
 from singular_susy.cli import load_system, system_to_config
 
+from families import crossed_robin_interval
+
 
 MATCHED = {
     "geometry": {"type": "interval", "l": 1.0},
@@ -30,6 +32,19 @@ LINE = {
 }
 
 GOLDEN = Path(__file__).parent / "golden" / "classify"
+# output file name -> command; the config is GOLDEN / "<first name part>.config.json"
+CLI_GOLDEN = Path(__file__).parent / "golden" / "cli"
+CLI_CASES = {
+    "interval-matched-n2.spectrum.csv": ["spectrum", "--format", "csv", "--n-levels", "6"],
+    "interval-matched-n2.spectrum.json": ["spectrum", "--format", "json", "--n-levels", "4"],
+    "interval-matched-n2.scan-theta_l.csv": ["scan", "--scan", "theta_l:0.5:1.5:5", "--format", "csv"],
+    "interval-matched-n2.scan-theta_l.json": ["scan", "--scan", "theta_l:0.5:1.5:5", "--format", "json"],
+    "interval-matched-n2.half-parity.json": ["half-parity"],
+    "line-tilted.spectrum.csv": ["spectrum", "--format", "csv"],
+    "line-tilted.spectrum.json": ["spectrum", "--format", "json"],
+    "line-tilted.scan-L.csv": ["scan", "--scan", "L:-1:1:5", "--format", "csv"],
+    "line-tilted.scan-L.json": ["scan", "--scan", "L:-1:1:5", "--format", "json"],
+}
 
 
 def _write(tmp_path, obj, name="sys.json"):
@@ -136,6 +151,16 @@ def test_classify_json_matches_golden(name, capsys):
     assert capsys.readouterr().out == (GOLDEN / (name + ".classify.json")).read_text()
 
 
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_output_matches_golden(name, capsys):
+    """spectrum, scan and half-parity output, byte for byte: the matched
+    interval and the tilted line with lambda = 1.5 and L0 = 0.7; the line's
+    L sweep crosses 0, so it has NotApplicable rows and an error row."""
+    config = GOLDEN / (name.split(".")[0] + ".config.json")
+    assert cli.main(CLI_CASES[name] + ["--config", str(config)]) == 0
+    assert capsys.readouterr().out == (CLI_GOLDEN / name).read_text()
+
+
 def test_half_parity_round_trip(tmp_path, capsys):
     path = _write(tmp_path, MATCHED)
     assert cli.main(["half-parity", "--config", path]) == 0
@@ -224,6 +249,8 @@ def test_usage_errors_exit_two(tmp_path):
         ["scan", "--config", path],
         ["scan", "--config", path, "--scan", "bogus:0:1:3"],
         ["scan", "--config", path, "--scan", "theta:0:1"],
+        ["scan", "--config", path, "--scan", "theta:nan:1:3"],
+        ["scan", "--config", path, "--scan", "L:0.5:inf:3"],
         ["spectrum", "--config", path, "--n-levels", "0"],
     ):
         with pytest.raises(SystemExit) as exc:
@@ -243,12 +270,56 @@ def test_domain_errors_exit_one(tmp_path, capsys):
     assert cli.main(["classify", "--config", str(tmp_path / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize(
+    "where, patch",
+    [
+        ("U.theta", {"U": {"form": "angles", "theta": float("nan")}}),
+        ("U.mu", {"U": {"form": "angles", "theta": 1.0, "mu": float("inf")}}),
+        ("U.entries", {"U": {"form": "matrix", "entries": [[1, 0], [0, 0], [0, 0], [float("nan"), 0]]}}),
+        ("Dl.theta_l", {"Dl": {"theta_l": float("-inf")}}),
+        ("geometry.l", {"geometry": {"type": "interval", "l": float("inf")}}),
+        ("lambda", {"lambda": 0}),
+        ("lambda", {"lambda": float("inf")}),
+        ("L0", {"L0": 0}),
+        ("L0", {"L0": -1.5}),
+        ("U.theta", {"U": {"form": "angles", "theta": 10**400}}),
+    ],
+    ids=["theta-nan", "mu-inf", "entry-nan", "theta_l-inf", "l-inf", "lambda-0", "lambda-inf",
+         "L0-0", "L0-negative", "theta-past-float"],
+)
+def test_config_values_must_be_finite(tmp_path, capsys, where, patch):
+    """A non-finite number, or a lambda, L0 or l that is not positive, is a
+    ParseError naming the field, and the CLI prints an error line."""
+    text = json.dumps(dict(MATCHED, **patch))
+    with pytest.raises(ParseError, match="^%s: " % where):
+        load_system(text)
+    assert cli.main(["classify", "--config", _write(tmp_path, json.loads(text))]) == 1
+    assert capsys.readouterr().err.startswith("error: %s: " % where)
+
+
+def test_unresolvable_state_is_an_error_line(tmp_path, capsys):
+    """Crossed Robin with L = -0.05 on l = 1 binds at kappa*l = 20, where the
+    state's norm cancels: spectrum prints the oracle's doublet or an error
+    line naming kappa*l, never a traceback."""
+    config = system_to_config(crossed_robin_interval(-0.05))
+    rc = cli.main(["spectrum", "--config", _write(tmp_path, config), "--format", "csv"])
+    out, err = capsys.readouterr()
+    if rc == 1:
+        assert err.startswith("error: state at kappa*l = 20 ") and out == ""
+        return
+    assert rc == 0
+    first = out.split("\n")[1].split(",")
+    assert first[1] == "neg" and first[4] == "2"
+    assert float(first[2]) == pytest.approx(20.0, rel=1e-9)
+
+
 def test_tol_env(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, MATCHED)
     monkeypatch.setenv("SINGULAR_SUSY_TOL", "1e-6")
     assert cli.main(["verify", "--config", path]) == 0
     capsys.readouterr()
-    monkeypatch.setenv("SINGULAR_SUSY_TOL", "banana")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--config", path])
-    assert exc.value.code == 2
+    for bad in ("banana", "nan", "inf", "0", "-1e-6"):
+        monkeypatch.setenv("SINGULAR_SUSY_TOL", bad)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--config", path])
+        assert exc.value.code == 2

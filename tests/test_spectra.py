@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from singular_susy import (
     Geometry,
     GeometryMismatchError,
+    PrecisionLossError,
     SystemSpec,
     WaveFunction,
     connection_residual,
@@ -158,6 +159,46 @@ def test_crossed_robin_zero_doublet_at_minus_l():
     assert len(zero) == 1
     assert zero[0].multiplicity == 2
     assert all(lv.sector != "negative" for lv in sp.levels)
+
+
+def _large_kappa_l(build, L, lost=False):
+    marks = [pytest.mark.xfail(strict=True, reason="ROADMAP defect 9")] if lost else []
+    return pytest.param(build, L, marks=marks, id="%s%g" % (build.__name__.split("_")[0], L))
+
+
+@pytest.mark.parametrize(
+    "build, L",
+    [_large_kappa_l(b, L) for b in (crossed_robin_interval, reflected_crossed_interval) for L in (-0.5, -0.2, -0.15)]
+    + [_large_kappa_l(crossed_robin_interval, L, lost=True) for L in (-0.1, -0.08, -0.07)]
+    + [_large_kappa_l(reflected_crossed_interval, L, lost=True) for L in (-0.1, -0.08, -0.07, -0.06)],
+)
+def test_crossed_doublet_at_large_kappa_l(build, L):
+    """Crossed Robin and its half-parity image on l = 1 have one negative
+    doublet, at the scalar Dirichlet/Robin oracle's kappa, then positive
+    doublets.  From kappa l of about 10 on, the solver loses the doublet's
+    second state or the whole level (ROADMAP defect 9): those points are
+    strict xfails."""
+    orc = oracle_decoupled_roots(0.0, L, 1.0, n_levels=3)
+    levels = solve_interval_spectrum(build(L), n_levels=3).levels
+    assert [lv.sector for lv in levels] == ["negative", "positive", "positive"]
+    for lv, q in zip(levels, orc.kappa[:1] + orc.k):
+        assert lv.multiplicity == 2
+        assert abs(lv.wavenumber - q) < 1e-9 * q
+
+
+@pytest.mark.parametrize("build", [crossed_robin_interval, reflected_crossed_interval])
+def test_cancelled_norm_is_a_clear_error(build):
+    """At L = -0.05 (kappa l = 20) the state's Gram norm cancels in the
+    cosh/sinh basis: the solve returns the oracle's doublet or raises
+    PrecisionLossError naming kappa*l, never a bare ValueError."""
+    kappa = oracle_decoupled_roots(0.0, -0.05, 1.0).kappa[0]
+    try:
+        ground = solve_interval_spectrum(build(-0.05), n_levels=2).levels[0]
+    except PrecisionLossError as exc:
+        assert "kappa*l = 20 " in str(exc)
+        return
+    assert ground.sector == "negative" and ground.multiplicity == 2
+    assert abs(ground.wavenumber - kappa) < 1e-9 * kappa
 
 
 def test_simple_charge_level_formula():
