@@ -10,7 +10,6 @@ from .errors import (
     NotDiagonalError,
     NotNormalizableError,
     NotUnitaryError,
-    OutOfDomainError,
     ParseError,
     PrecisionLossError,
     SingularSusyError,
@@ -28,7 +27,6 @@ from .matkit import (
     is_unitary,
     pauli_combination,
     pauli_vector,
-    random_unitary_2x2,
     su2_from_euler,
 )
 from .system import (
@@ -38,14 +36,11 @@ from .system import (
     WaveFunction,
     boundary_data,
     connection_residual,
-    derivative,
     derivative_rep,
-    evaluate,
     half_parity,
     inverse_robin_length,
     l2_norm,
     normalize,
-    robin_length,
     robin_matrix,
     theta_for_scale,
     wall_residual,
@@ -54,7 +49,6 @@ from .system import (
 from .spectra import (
     Level,
     Spectrum,
-    secular_matrix,
     solve_interval_spectrum,
     solve_line_bound_states,
     solve_spectrum,
@@ -66,7 +60,6 @@ from .classify import (
     annihilates,
     classify_system,
     half_parity_system,
-    point_condition_residual,
 )
 from .verify import (
     CheckResult,

@@ -47,6 +47,8 @@ from .system import (
 )
 
 _PHASE_TOL = 1e-9
+_ANNIHILATE_TOL = 1e-10
+_DIAGONAL_TOL = 1e-10  # off-diagonal entries up to this read as diagonal
 _SQRT2 = np.sqrt(2.0)
 _TWO_PI = 2.0 * np.pi
 
@@ -183,34 +185,18 @@ def admits_susy_at_point(m) -> tuple[float, np.ndarray] | None:
     return float(np.angle(d[0, 0]) % _TWO_PI), v
 
 
-def point_condition_residual(m, charge: SuperchargeSpec) -> float:
-    """How far a charge is from preserving the domain of boundary matrix m.
-
-    Zero (to rounding) iff both matrix conditions hold:
-      (m + I) K (m + I) = 0
-      lam (m - I) K (m - I) + 2 L0 [m, B] = 0
-    with K, B the charge's kinetic and shift matrices in the system frame.
-    """
-    m = np.asarray(m, dtype=complex)
-    k = charge.kinetic_matrix
-    b = charge.shift_matrix
-    c1 = (m + IDENTITY) @ k @ (m + IDENTITY)
-    c2 = charge.lam * (m - IDENTITY) @ k @ (m - IDENTITY) + 2.0 * charge.L0 * (
-        m @ b - b @ m
-    )
-    return float(max(np.max(np.abs(c1)), np.max(np.abs(c2))))
-
-
-def annihilates(charge: SuperchargeSpec, wf: WaveFunction, tol: float = 1e-10) -> bool:
+def annihilates(charge: SuperchargeSpec, wf: WaveFunction) -> bool:
+    """Whether the charge's image of wf vanishes, to _ANNIHILATE_TOL
+    relative to the charge's size on wf."""
     image = charge.apply_coeffs(wf.geometry, wf.sector, wf.wavenumber, wf.coeffs)
     scale = (
         charge.lam * (wf.wavenumber + 1.0) + np.sqrt(charge.shift)
     ) * np.linalg.norm(wf.coeffs)
-    return float(np.linalg.norm(image)) <= tol * max(scale, 1e-300)
+    return float(np.linalg.norm(image)) <= _ANNIHILATE_TOL * max(scale, 1e-300)
 
 
-def _is_diagonal(m: np.ndarray, tol: float = 1e-10) -> bool:
-    return max(abs(m[0, 1]), abs(m[1, 0])) <= tol
+def _is_diagonal(m: np.ndarray) -> bool:
+    return max(abs(m[0, 1]), abs(m[1, 0])) <= _DIAGONAL_TOL
 
 
 def _goodness(

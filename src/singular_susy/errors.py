@@ -21,10 +21,6 @@ class ThetaPiError(SingularSusyError):
     """The boundary angle pi is excluded: no finite Robin scale exists there."""
 
 
-class OutOfDomainError(SingularSusyError):
-    """An evaluation point lies outside the wavefunction's domain."""
-
-
 class NotNormalizableError(SingularSusyError):
     """The wavefunction has no finite L2 norm on its geometry."""
 

@@ -17,6 +17,9 @@ SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
 PAULI = (SIGMA1, SIGMA2, SIGMA3)
+_TWO_PI = 2.0 * np.pi
+_TOL = 1e-10  # unitarity, and eigenvalues closer than this are one
+_PHASE_TOL = 1e-9  # an eigenvalue this close to -1 is the Dirichlet one
 
 
 def pauli_combination(v) -> np.ndarray:
@@ -49,10 +52,9 @@ def conjugate(w, m) -> np.ndarray:
     return w @ m @ w.conj().T
 
 
-def circular_distance(x: float, y: float, period: float = 2.0 * np.pi) -> float:
-    """Distance between two angles on a circle of the given period."""
-    half = period / 2.0
-    return abs((x - y + half) % period - half)
+def circular_distance(x: float, y: float) -> float:
+    """Distance between two angles, in radians, on the circle."""
+    return abs((x - y + np.pi) % _TWO_PI - np.pi)
 
 
 def su2_from_euler(mu: float, nu: float) -> np.ndarray:
@@ -93,30 +95,28 @@ def _phase_fixed(vec: np.ndarray) -> np.ndarray:
     return vec / phase
 
 
-def diagonalize_u2(u, tol: float = 1e-10, phase_tol: float = 1e-9):
+def diagonalize_u2(u):
     """Diagonalize a U(2) matrix: returns (V, D) with V @ u @ V^dag = D.
 
-    V is special unitary.  If an eigenvalue sits at -1 (within phase_tol
-    along the unit circle) it is placed in the lower-right slot; that slot
-    is what the Robin-form boundary matrix diag(e^{i theta}, -1) expects.
-    Degenerate u (a multiple of the identity) returns V = I.
+    V is special unitary.  If exactly one eigenvalue sits at -1 (within
+    _PHASE_TOL) it is placed in the lower-right slot; that slot is what the
+    Robin-form boundary matrix diag(e^{i theta}, -1) expects.  Degenerate u
+    (eigenvalues within _TOL, a multiple of the identity) returns V = I.
     """
     u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, tol):
-        raise NotUnitaryError("matrix is not unitary within %.1e" % tol)
+    if not is_unitary(u, _TOL):
+        raise NotUnitaryError("matrix is not unitary within %.1e" % _TOL)
     tr = u[0, 0] + u[1, 1]
     # tr^2 - 4 det without the cancellation when both eigenvalues are close
     disc = np.sqrt((u[0, 0] - u[1, 1]) ** 2 + 4.0 * u[0, 1] * u[1, 0] + 0.0j)
     w1 = (tr + disc) / 2.0
     w2 = (tr - disc) / 2.0
-    if abs(w1 - w2) <= tol:
+    if abs(w1 - w2) <= _TOL:
         return IDENTITY.copy(), np.diag([w1, w2]).astype(complex)
-    # -1 eigenvalue (if any) goes last
-    if abs(w1 + 1.0) <= phase_tol and abs(w2 + 1.0) > phase_tol:
+    # a lone -1 eigenvalue goes last
+    if abs(w1 + 1.0) <= _PHASE_TOL and abs(w2 + 1.0) > _PHASE_TOL:
         w1, w2 = w2, w1
-    elif abs(w1 + 1.0) <= phase_tol and abs(w2 + 1.0) <= phase_tol:
-        pass  # both at -1 is the degenerate branch above
-    vec1 = _eigvec(u, w1, tol)
+    vec1 = _eigvec(u, w1)
     vec2 = np.array([-np.conj(vec1[1]), np.conj(vec1[0])])
     # orient the second vector onto its own eigenvalue's phase convention
     vec2 = _phase_fixed(vec2)
@@ -127,23 +127,16 @@ def diagonalize_u2(u, tol: float = 1e-10, phase_tol: float = 1e-9):
     return v, np.diag([w1, w2]).astype(complex)
 
 
-def _eigvec(u: np.ndarray, w: complex, tol: float) -> np.ndarray:
+def _eigvec(u: np.ndarray, w: complex) -> np.ndarray:
     """Unit eigenvector of u for eigenvalue w, phase-fixed."""
     m = u - w * IDENTITY
     rows = [m[0], m[1]]
     norms = [np.linalg.norm(r) for r in rows]
     r = rows[int(np.argmax(norms))]
-    if max(norms) < tol:
+    if max(norms) < _TOL:
         vec = np.array([1.0, 0.0], dtype=complex)
     else:
         vec = np.array([-r[1], r[0]], dtype=complex)
         vec = vec / np.linalg.norm(vec)
     return _phase_fixed(vec)
 
-
-def random_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random U(2) element via QR of a complex Gaussian matrix."""
-    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))

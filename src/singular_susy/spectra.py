@@ -116,23 +116,6 @@ def _interval_matrix(
     return m.reshape(len(qs), 4, 4)
 
 
-def secular_matrix(spec: SystemSpec, energy: float) -> np.ndarray:
-    """4x4 matrix of the matching conditions at the given energy.
-
-    Rows are the two connection conditions followed by the two wall
-    conditions; columns multiply the coefficients (A+, B+, A-, B-).
-    """
-    if not spec.geometry.is_interval:
-        raise GeometryMismatchError("the secular matrix is an interval construction")
-    if energy > 0:
-        sector, q = "positive", np.sqrt(energy) / spec.lam
-    elif energy == 0:
-        sector, q = "zero", 0.0
-    else:
-        sector, q = "negative", np.sqrt(-energy) / spec.lam
-    return _interval_matrix(spec, sector, q)[0]
-
-
 def _scaled_for_nullity(m: np.ndarray, scale_m: np.ndarray):
     """Column-rescale m against its cancellation-free magnitude matrix.
 

@@ -23,7 +23,6 @@ from .errors import (
     NotDiagonalError,
     NotNormalizableError,
     NotUnitaryError,
-    OutOfDomainError,
     ThetaPiError,
 )
 from .matkit import IDENTITY, is_unitary
@@ -76,14 +75,6 @@ def _reduced_theta(theta: float, L0: float) -> float:
     if abs(t - np.pi) < 1e-12:
         raise ThetaPiError("theta = pi admits no Robin length scale")
     return t
-
-
-def robin_length(theta: float, L0: float = 1.0) -> float:
-    """Robin length L0 cot(theta/2); +inf at the Neumann point theta = 0."""
-    t = _reduced_theta(theta, L0)
-    if t == 0.0:
-        return np.inf
-    return L0 / np.tan(t / 2.0)
 
 
 def inverse_robin_length(theta: float, L0: float = 1.0) -> float:
@@ -313,26 +304,6 @@ def _basis_values(geometry: Geometry, sector: str, q, x) -> np.ndarray:
         return np.array([np.cosh(q * x), np.sinh(q * x)])
     e = np.exp(-q * x)
     return np.array([e, x * e])
-
-
-def _check_domain(wf: WaveFunction, x: float) -> None:
-    if not np.isfinite(x) or x <= 0:
-        raise OutOfDomainError("x = %r is outside the open domain" % (x,))
-    if wf.geometry.is_interval and x > wf.geometry.l * (1.0 + 1e-12):
-        raise OutOfDomainError("x = %r exceeds the interval length" % (x,))
-
-
-def evaluate(wf: WaveFunction, x: float) -> np.ndarray:
-    """Psi(x) as a 2-vector, from the closed-form basis."""
-    _check_domain(wf, x)
-    return wf.coeffs @ _basis_values(wf.geometry, wf.sector, wf.wavenumber, x)
-
-
-def derivative(wf: WaveFunction, x: float) -> np.ndarray:
-    """Psi'(x), exact (the basis is differentiated analytically)."""
-    _check_domain(wf, x)
-    vals = _basis_values(wf.geometry, wf.sector, wf.wavenumber, x)
-    return (wf.coeffs @ derivative_rep(wf.geometry, wf.sector, wf.wavenumber).T) @ vals
 
 
 def _endpoint(geometry: Geometry, at: str) -> float:

@@ -34,6 +34,7 @@ from .system import (
 
 _ALGEBRA_TOL = 1e-10
 _FORM_TOL = 1e-10
+_LOWER_BOUND_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,6 @@ def check_algebra(
     q1: SuperchargeSpec,
     q2: SuperchargeSpec,
     states,
-    tol: float = _ALGEBRA_TOL,
 ) -> CheckResult:
     """On energy-E eigenstates: Q_i(Q_i wf) = ((E + |b|^2)/2) wf for each
     charge, and Q_1 Q_2 + Q_2 Q_1 = 0 when the charges differ."""
@@ -173,7 +173,7 @@ def check_algebra(
             residuals.append(relative(cross, max(q1.shift, q2.shift)))
     worst = _worst(residuals)
     details = "squares and anticommutator over %d states" % len(states)
-    return CheckResult("algebra", worst <= tol, worst, tol, details)
+    return CheckResult("algebra", worst <= _ALGEBRA_TOL, worst, _ALGEBRA_TOL, details)
 
 
 def check_degeneracy_pairing(
@@ -235,18 +235,16 @@ def susy_boundary_form(states, charge: SuperchargeSpec, at: str = "origin") -> n
     return forms
 
 
-def deficiency_indices(spec: SystemSpec, g: float = 1.0) -> tuple[int, int]:
-    """Count square-integrable solutions of q Psi = +- i g Psi for the
+def deficiency_indices(spec: SystemSpec) -> tuple[int, int]:
+    """Count square-integrable solutions of q Psi = +- i Psi for the
     sigma2-reduced charge q = -i lam d/dx sigma2.
 
     Each sigma2 eigenvector v with eigenvalue w forces Psi = v e^{sx} with
-    s = -(sign) g / (lam w).  For either sign, w = +-1 give one decaying
+    s = -(sign) / (lam w).  For either sign, w = +-1 give one decaying
     and one growing exponential.  On the interval both are integrable; on
     the half line only the decaying one survives.  So the indices are (2, 2)
     and (1, 1), independent of the boundary parameters.
     """
-    if g <= 0:
-        raise ValueError("g must be positive")
     n = 2 if spec.geometry.is_interval else 1
     return n, n
 
@@ -255,10 +253,10 @@ def check_lower_bound(
     spec: SystemSpec,
     classification: SusyClassification,
     spectrum: spectra.Spectrum,
-    tol: float = 1e-9,
 ) -> CheckResult:
     """2Q^2 = H + |b|^2 >= 0 bounds every level by -|b|^2; a ground state
     attaining the bound is the annihilated one."""
+    tol = _LOWER_BOUND_TOL
     if not spectrum.levels:
         return CheckResult("lower bound", True, 0.0, tol, "no discrete levels")
     bound = -classification.shift
@@ -275,7 +273,7 @@ def _real_direction(vec: np.ndarray) -> np.ndarray:
 
 
 def witten_parity_search(
-    spec: SystemSpec, classification: SusyClassification | None = None
+    spec: SystemSpec, classification: SusyClassification
 ) -> np.ndarray | None:
     """Grading operator W = sigma . n with [W, U] = [W, Dl] = 0 and
     {W, Q} = 0 for every charge, or None when no direction fits.
@@ -286,8 +284,6 @@ def witten_parity_search(
     diagonal.  A candidate counts only if every commutator and
     anticommutator vanishes numerically.
     """
-    if classification is None:
-        classification = classify_system(spec)
     if not classification.charges:
         return None
     mats = [spec.U] + ([spec.Dl] if spec.geometry.is_interval else [])

@@ -1,8 +1,10 @@
-"""Independent scalar eigenvalue oracle for decoupled (diagonal) systems.
+"""Independent eigenvalue oracles that share none of the solver's code.
 
 Each component of a system with diagonal U and Dl is a scalar Robin
-problem, solved here by sign-change bisection, so the 4x4 matrix solver
-can be validated against a method that shares none of its code.
+problem, solved here by sign-change bisection.  For any interval system,
+coupled or not, the ground level below zero is found by bisecting a count
+of the levels below each energy: the negative inertia of the quadratic
+form on boundary values (Dirichlet-to-Neumann counting).
 """
 
 from dataclasses import dataclass
@@ -98,3 +100,69 @@ def oracle_decoupled_roots(
     both_finite = all(L is not None and np.isfinite(L) for L in (L_left, L_right))
     zero = both_neumann or (both_finite and abs(L_left - L_right - l) < 1e-12)
     return DecoupledRoots(tuple(k_roots), tuple(kappa_roots), zero)
+
+
+
+def _robin_rates(m, L0: float):
+    """(eigenvectors as columns, tan(phi/2) / L0) of the eigenvalues
+    e^{i phi} of the unitary m that are not Dirichlet (-1)."""
+    w, v = np.linalg.eig(m)
+    v, _ = np.linalg.qr(v)  # orthonormal; exact eigenvectors unless m is ~scalar
+    keep = np.abs(w + 1.0) > 1e-9
+    return v[:, keep], np.tan(np.angle(w[keep]) / 2.0) / L0
+
+
+def level_counter(spec):
+    """kappa (scalar or array) -> number of levels of the interval system
+    below E = -(lam kappa)^2.
+
+    Below zero no Dirichlet level lies, so the count is the number of
+    negative eigenvalues of h - E on E-harmonic functions.  On boundary
+    values (psi(0), psi(l)) that form is, per component, the block
+    [[a, b], [b, a]] with a = kappa coth(kappa l), b = -kappa csch(kappa l)
+    (1/l and -1/l at kappa = 0), plus -tan(phi/2)/L0 on each non-Dirichlet
+    eigenvector of U and +tan(phi/2)/L0 on each of Dl, restricted to the
+    values the Dirichlet eigenvectors allow.  coth and csch are written in
+    e^{-kappa l}, which never overflows.
+    """
+    l = spec.geometry.l
+    v0, t0 = _robin_rates(spec.U, spec.L0)
+    vl, tl = _robin_rates(spec.Dl, spec.L0)
+    # allowed boundary values: psi(0) = v0 x, psi(l) = vl y
+    p0 = np.hstack([v0, np.zeros((2, vl.shape[1]))])
+    pl = np.hstack([np.zeros((2, v0.shape[1])), vl])
+    diagonal = p0.conj().T @ p0 + pl.conj().T @ pl
+    cross = p0.conj().T @ pl + pl.conj().T @ p0
+    robin = np.diag(np.concatenate([-t0, tl]))
+
+    def count(kappa):
+        kappa = np.asarray(kappa, dtype=float)
+        if robin.size == 0:
+            return np.zeros(kappa.shape, dtype=int)
+        e = np.exp(-kappa * l)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = np.where(kappa == 0.0, 1.0 / l, kappa * (1.0 + e * e) / (1.0 - e * e))
+            b = np.where(kappa == 0.0, -1.0 / l, -2.0 * kappa * e / (1.0 - e * e))
+        form = a[..., None, None] * diagonal + b[..., None, None] * cross + robin
+        return np.sum(np.linalg.eigvalsh(form) < 0.0, axis=-1)
+
+    return count
+
+
+def count_ground_energy(spec, rtol: float = 1e-13):
+    """Lowest energy of an interval system when it is negative, else None.
+
+    The ground kappa is where the count drops to 0; it is bracketed by
+    multisection on 17 stacked points per step, from [0, r + 2/l], r the
+    largest binding rate of U and conj(Dl), below which every bound state
+    lies."""
+    count = level_counter(spec)
+    if count(0.0) == 0:
+        return None
+    rates = np.concatenate([_robin_rates(spec.U, spec.L0)[1], -_robin_rates(spec.Dl, spec.L0)[1]])
+    lo, hi = 0.0, float(np.max(rates)) + 2.0 / spec.geometry.l
+    while hi - lo > rtol * hi:
+        kappas = np.linspace(lo, hi, 17)
+        i = min(int(np.flatnonzero(count(kappas) > 0)[-1]), 15)
+        lo, hi = kappas[i], kappas[i + 1]
+    return -((spec.lam * 0.5 * (lo + hi)) ** 2)

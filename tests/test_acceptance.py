@@ -24,12 +24,12 @@ from singular_susy import (
     classify_system,
     conjugate,
     deficiency_indices,
-    random_unitary_2x2,
     solve_interval_spectrum,
     susy_boundary_form,
     witten_parity_search,
 )
 
+from helpers import random_unitary_2x2
 from families import (
     crossed_robin_interval,
     matched_robin_interval,
@@ -91,7 +91,7 @@ def test_good_susy_family():
                 assert lv.multiplicity == 2
             ground = sp.levels[0].states[0]
             assert len(cls.charges) == 2
-            assert all(annihilates(q, ground, tol=1e-10) for q in cls.charges)
+            assert all(annihilates(q, ground) for q in cls.charges)
         assert time.perf_counter() - t0 < 5.0
 
 
@@ -191,7 +191,7 @@ def test_charge_algebra():
             q1, q2 = cls.charges[0], cls.charges[-1]
             for lv in sp.levels:
                 for st in lv.states:
-                    res = check_algebra(spec, q1, q2, [st], tol=1e-10)
+                    res = check_algebra(spec, q1, q2, [st])
                     assert res.passed, res.details
 
 

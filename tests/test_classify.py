@@ -20,18 +20,18 @@ from singular_susy import (
     annihilates,
     classify_system,
     conjugate,
+    diagonalize_u2,
     half_parity,
     half_parity_system,
     inverse_robin_length,
     pauli_combination,
-    point_condition_residual,
-    random_unitary_2x2,
     robin_matrix,
     solve_spectrum,
     su2_from_euler,
     theta_for_scale,
 )
 
+from helpers import point_condition_residual, random_unitary_2x2
 from families import (
     crossed_robin_interval,
     matched_robin_interval,
@@ -169,6 +169,26 @@ def test_line_theta_near_pi_is_good(eps, conjugated):
     assert cls.degree == "N2" and cls.goodness == "Good"
     ground = spectrum.ground.energy
     assert abs(cls.shift + ground) <= 1e-9 * abs(ground)
+
+
+@pytest.mark.parametrize("geometry", [Geometry.line(), Geometry.interval(1.0)])
+def test_two_distinct_eigenvalues_at_minus_one(geometry):
+    """Eigenphases pi -+ 4e-10: both eigenvalues lie within 1e-9 of -1, so
+    both read Dirichlet, yet they are 8e-10 apart, more than the 1e-10 that
+    makes U degenerate.  Neither eigenvalue is the simple -1 that a charge
+    needs, so the degree is none, and neither binds a state."""
+    w = su2_from_euler(0.7, 0.3)
+    u = w.conj().T @ np.diag(np.exp(1j * (np.pi + np.array([-4e-10, 4e-10])))) @ w
+    _, d = diagonalize_u2(u)
+    assert abs(d[0, 0] - d[1, 1]) > 1e-10 and np.all(np.abs(np.diag(d) + 1.0) <= 1e-9)
+    dl = -np.eye(2) if geometry.is_interval else None
+    spec = SystemSpec(geometry, u, dl, 1.0, 1.0)
+    spectrum = solve_spectrum(spec, n_levels=2)
+    cls = classify_system(spec, spectrum)
+    assert cls.degree == "none" and not cls.charges
+    assert all(lv.energy > 0.0 for lv in spectrum.levels)
+    if not geometry.is_interval:
+        assert not spectrum.levels
 
 
 def _rotation_angle(k1w, k2w, kprime):

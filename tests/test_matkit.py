@@ -18,9 +18,10 @@ from singular_susy import (
     is_unitary,
     pauli_combination,
     pauli_vector,
-    random_unitary_2x2,
     su2_from_euler,
 )
+
+from helpers import random_unitary_2x2
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 reals = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)

@@ -20,10 +20,7 @@ from singular_susy import (
     boundary_data,
     half_parity_system,
     l2_norm,
-    random_unitary_2x2,
-    robin_length,
     robin_matrix,
-    secular_matrix,
     solve_interval_spectrum,
     solve_line_bound_states,
     su2_from_euler,
@@ -34,6 +31,7 @@ from singular_susy import (
 from singular_susy import spectra
 from singular_susy.system import _basis_values
 
+from helpers import random_unitary_2x2, robin_length, secular_matrix
 from families import (
     crossed_robin_interval,
     matched_robin_interval,
@@ -254,8 +252,6 @@ def test_secular_matrix_rank_drop():
     assert ndet(off) > 1e-3
     assert secular_matrix(spec, 0.0).shape == (4, 4)
     assert secular_matrix(spec, -1.0).shape == (4, 4)
-    with pytest.raises(GeometryMismatchError):
-        secular_matrix(robin_line(1.0), 1.0)
 
 
 def test_secular_matrix_encodes_both_boundary_forms(rng):

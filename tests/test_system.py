@@ -14,7 +14,6 @@ from singular_susy import (
     NotDiagonalError,
     NotNormalizableError,
     NotUnitaryError,
-    OutOfDomainError,
     SIGMA1,
     SystemSpec,
     ThetaPiError,
@@ -22,20 +21,17 @@ from singular_susy import (
     boundary_data,
     connection_residual,
     conjugate,
-    derivative,
-    evaluate,
     half_parity,
     inverse_robin_length,
     l2_norm,
     normalize,
-    random_unitary_2x2,
-    robin_length,
     robin_matrix,
     theta_for_scale,
     wall_residual,
     wf_inner,
 )
 
+from helpers import derivative, evaluate, random_unitary_2x2, robin_length
 from families import (
     crossed_robin_interval,
     matched_robin_interval,
@@ -65,16 +61,15 @@ def test_robin_length_conventions():
 
 
 def test_robin_length_rejects_invalid_input():
-    for fn in (robin_length, inverse_robin_length):
-        for theta in (np.pi, 3.0 * np.pi):
-            with pytest.raises(ThetaPiError):
-                fn(theta)
-        for L0 in (0.0, -1.0, np.inf, np.nan):
-            with pytest.raises(ValueError, match="L0 must be positive and finite"):
-                fn(0.5, L0)
-        for theta in (np.inf, -np.inf, np.nan):
-            with pytest.raises(ValueError, match="theta must be finite"):
-                fn(theta)
+    for theta in (np.pi, 3.0 * np.pi):
+        with pytest.raises(ThetaPiError):
+            inverse_robin_length(theta)
+    for L0 in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="L0 must be positive and finite"):
+            inverse_robin_length(0.5, L0)
+    for theta in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            inverse_robin_length(theta)
 
 
 def test_robin_matrix_shape():
@@ -120,15 +115,6 @@ def test_derivative_matches_central_difference(rng):
             got = derivative(wf, x)
             scale = np.linalg.norm(got) + 1.0
             assert np.linalg.norm(got - want) / scale < 1e-6
-
-
-def test_evaluate_domain_errors():
-    geo = Geometry.interval(1.0)
-    wf = WaveFunction(geo, "positive", 1.0, np.eye(2), 1.0)
-    with pytest.raises(OutOfDomainError):
-        evaluate(wf, 1.5)
-    with pytest.raises(OutOfDomainError):
-        evaluate(wf, -0.2)
 
 
 def test_energy():

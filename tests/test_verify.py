@@ -23,7 +23,6 @@ from singular_susy import (
     deficiency_indices,
     half_parity,
     l2_norm,
-    random_unitary_2x2,
     run_verification,
     solve_interval_spectrum,
     solve_line_bound_states,
@@ -34,6 +33,7 @@ from singular_susy import (
     witten_parity_search,
 )
 
+from helpers import random_unitary_2x2
 from families import (
     crossed_robin_interval,
     matched_robin_interval,
@@ -109,17 +109,18 @@ def test_deficiency_indices(rng):
         assert deficiency_indices(interval) == (2, 2)
         line = SystemSpec(Geometry.line(), u, None, 1.0, 1.0)
         assert deficiency_indices(line) == (1, 1)
-    with pytest.raises(ValueError):
-        deficiency_indices(line, g=0.0)
 
 
 def test_witten_parity_directions():
-    assert np.allclose(witten_parity_search(matched_robin_interval(np.pi / 4)), SIGMA3)
-    assert np.allclose(witten_parity_search(crossed_robin_interval(-0.5)), SIGMA3)
-    assert np.allclose(witten_parity_search(reflected_crossed_interval(-0.5)), SIGMA3)
-    assert np.allclose(witten_parity_search(robin_line(1.2)), SIGMA3)
+    def parity(spec):
+        return witten_parity_search(spec, classify_system(spec))
+
+    assert np.allclose(parity(matched_robin_interval(np.pi / 4)), SIGMA3)
+    assert np.allclose(parity(crossed_robin_interval(-0.5)), SIGMA3)
+    assert np.allclose(parity(reflected_crossed_interval(-0.5)), SIGMA3)
+    assert np.allclose(parity(robin_line(1.2)), SIGMA3)
     # a single charge with tilted boundary axes admits no grading
-    assert witten_parity_search(simple_charge_interval(np.pi / 3)) is None
+    assert parity(simple_charge_interval(np.pi / 3)) is None
 
 
 def test_algebra_on_eigenstates():
