@@ -35,16 +35,10 @@ from .system import (
     SystemSpec,
     WaveFunction,
     boundary_data,
-    connection_residual,
     derivative_rep,
-    half_parity,
     inverse_robin_length,
-    l2_norm,
-    normalize,
     robin_matrix,
     theta_for_scale,
-    wall_residual,
-    wf_inner,
 )
 from .spectra import (
     Level,

@@ -21,7 +21,7 @@ classifier uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,13 +31,12 @@ from .system import (
     SystemSpec,
     WaveFunction,
     _basis_values,
+    _boundary_values,
+    _form_residual,
+    _gram,
+    # unused: perfbench/spans.py patches spectra.boundary_data, and a missing name fails its runs
     boundary_data,
-    connection_residual,
     inverse_robin_length,
-    l2_norm,
-    normalize,
-    wall_residual,
-    wf_inner,
 )
 
 _ACCEPT = 1e-10  # at a minimum or at E = 0, normalized |det| below this is a rank drop
@@ -57,9 +56,6 @@ class Level:
     wavenumber: float
     multiplicity: int
     states: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
 
 
 @dataclass(frozen=True)
@@ -351,18 +347,41 @@ def _scan_roots(
     return levels
 
 
-def _phase_fixed_state(wf: WaveFunction) -> WaveFunction:
-    return replace(wf, coeffs=_phase_fixed(wf.coeffs.ravel()).reshape(wf.coeffs.shape))
+def _states(spec: SystemSpec, sector: str, q: float, coeffs: np.ndarray) -> tuple:
+    """Orthonormal eigenstates of wavenumber q spanned by the (m, 2, 2)
+    candidate coefficient stack.  On an interval, candidates that break the
+    condition at either end by more than 1e-8 are dropped; a line candidate
+    is an eigenvector of U at the kappa its own eigenphase gives, so it
+    meets the origin condition by construction.  The rest are normalized,
+    then orthonormalized in order by Gram-Schmidt in the exact L2 metric,
+    where a remainder of norm 1e-8 or less is dependent and dropped, and
+    each kept state is phase-fixed before the next is projected against it."""
+    geometry = spec.geometry
+    ends = [(0, 0.0), (1, geometry.l)] if geometry.is_interval else []
+    ok = np.ones(len(coeffs), dtype=bool)
+    for end, x in ends:
+        psi, dpsi = _boundary_values(geometry, sector, q, coeffs, x)
+        ok &= ~(_form_residual(spec, end, psi, dpsi) > 1e-8)
+    gram = _gram(geometry, sector, q)
 
+    def norms(c):
+        return np.sqrt(np.maximum(np.sum(np.conj(c) * (c @ gram), axis=(-2, -1)).real, 0.0))
 
-def _orthonormalized(states: list) -> list:
-    out = []
-    for wf in states:
-        for prev in out:
-            wf = replace(wf, coeffs=wf.coeffs - wf_inner(prev, wf) * prev.coeffs)
-        if l2_norm(wf) > 1e-8:
-            out.append(_phase_fixed_state(normalize(wf)))
-    return out
+    coeffs = coeffs[ok]
+    n = norms(coeffs)
+    if np.any(n < 1e-150):  # the Gram form cancelled to the zero wavefunction
+        where = "kappa*l = %.6g" % (q * geometry.l) if geometry.is_interval else "kappa = %.6g" % q
+        raise PrecisionLossError(
+            "state at %s cannot be normalized: its norm cancels in the sector basis" % where
+        )
+    kept = []
+    for c in coeffs / n[:, None, None]:
+        for prev in kept:
+            c = c - np.sum(np.conj(prev) * (c @ gram)) * prev
+        n = norms(c)
+        if n > 1e-8:
+            kept.append(_phase_fixed((c / n).ravel()).reshape(2, 2))
+    return tuple(WaveFunction(geometry, sector, q, c, spec.lam) for c in kept)
 
 
 def _interval_level(spec: SystemSpec, sector: str, q: float) -> Level | None:
@@ -374,25 +393,9 @@ def _interval_level(spec: SystemSpec, sector: str, q: float) -> Level | None:
     # absolute count: kept columns have unit norm, so s[0] is O(1) unless the
     # whole matrix vanished, in which case every direction really is null
     nullity = int(np.sum(s < _NULL_TOL)) or 1
-    states = []
-    for j in range(len(s) - nullity, len(s)):
-        coeffs = (np.conj(vh[j]) / colnorms).reshape(2, 2)
-        wf = WaveFunction(spec.geometry, sector, q, coeffs, spec.lam)
-        if connection_residual(spec, boundary_data(wf, "origin")) > 1e-8:
-            continue
-        if wall_residual(spec, boundary_data(wf, "wall")) > 1e-8:
-            continue
-        try:
-            states.append(normalize(wf))
-        except ValueError:  # the zero wavefunction: the Gram form cancelled
-            raise PrecisionLossError(
-                "state at kappa*l = %.6g cannot be normalized: its norm cancels in the "
-                "cosh/sinh basis" % (q * spec.geometry.l)
-            ) from None
-    states = _orthonormalized(states)
-    if not states:
-        return None
-    return Level(states[0].energy, sector, q, len(states), tuple(states))
+    null = (np.conj(vh[len(s) - nullity :]) / colnorms).reshape(-1, 2, 2)
+    states = _states(spec, sector, q, null)
+    return Level(states[0].energy, sector, q, len(states), states) if states else None
 
 
 def _binding_rate(w: complex, L0: float) -> float:
@@ -512,11 +515,11 @@ def solve_line_bound_states(spec: SystemSpec) -> Spectrum:
             groups.append((q, [w]))
     levels = []
     for q, ws in groups:
-        coeffs = [np.array([[w[0], 0.0], [w[1], 0.0]]) for w in ws]
-        states = _orthonormalized(
-            [WaveFunction(spec.geometry, "negative", q, c, spec.lam) for c in coeffs]
-        )
-        levels.append(Level(states[0].energy, "negative", q, len(states), tuple(states)))
+        coeffs = np.zeros((len(ws), 2, 2), dtype=complex)
+        coeffs[:, :, 0] = ws  # w e^{-kappa x}: no x e^{-kappa x} term
+        states = _states(spec, "negative", q, coeffs)
+        if states:
+            levels.append(Level(states[0].energy, "negative", q, len(states), states))
     levels.sort(key=lambda lv: lv.energy)
     kappa_max = max((q for q, _ in groups), default=0.0) + 1.0 / spec.L0
     report = {

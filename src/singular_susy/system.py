@@ -13,7 +13,7 @@ are all exact arithmetic on 2x2 coefficient arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -212,18 +212,6 @@ def _form_residual(spec: SystemSpec, end: int, psi: np.ndarray, dpsi: np.ndarray
     return _norms(lhs) / scale
 
 
-def connection_residual(spec: SystemSpec, b: BoundaryData) -> float:
-    """Scale-free violation of the singularity condition at x = +0."""
-    return float(_form_residual(spec, 0, b.psi, b.dpsi))
-
-
-def wall_residual(spec: SystemSpec, b: BoundaryData) -> float:
-    """Scale-free violation of the wall condition at x = l."""
-    if not spec.geometry.is_interval:
-        raise GeometryMismatchError("wall condition exists only on an interval")
-    return float(_form_residual(spec, 1, b.psi, b.dpsi))
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class WaveFunction:
     """Two-component state with closed-form coefficients over a sector basis.
@@ -318,9 +306,9 @@ def _endpoint(geometry: Geometry, at: str) -> float:
 
 
 def _boundary_values(geometry: Geometry, sector: str, q, coeffs, x: float) -> tuple:
-    """(Psi, Psi') at x of states of one sector: q a wavenumber and coeffs
-    its (2, 2) coefficients, or q of shape (n,) and coeffs (n, 2, 2), giving
-    values of shape (2,) or (n, 2)."""
+    """(Psi, Psi') at x of states of one sector: coeffs (2, 2) or a stack
+    (n, 2, 2), and q one wavenumber or, for a stack, one per state of shape
+    (n,); values of shape (2,) or (n, 2)."""
     vals = _basis_values(geometry, sector, q, x).T[..., None]
     dcoeffs = coeffs @ derivative_rep(geometry, sector, q).swapaxes(-1, -2)
     return (coeffs @ vals)[..., 0], (dcoeffs @ vals)[..., 0]
@@ -357,31 +345,11 @@ def _gram(geometry: Geometry, sector: str, q) -> np.ndarray:
     return _per_wavenumber(q, even, cross, cross, odd)
 
 
-def wf_inner(wf1: WaveFunction, wf2: WaveFunction) -> complex:
-    """L2 inner product (wf1 conjugated); both states must share a basis."""
-    if wf1.geometry != wf2.geometry or wf1.sector != wf2.sector:
-        raise ValueError("inner product requires a common sector basis")
-    if abs(wf1.wavenumber - wf2.wavenumber) > 1e-9 * max(1.0, wf1.wavenumber):
-        raise ValueError("inner product requires equal wavenumbers")
-    g = _gram(wf1.geometry, wf1.sector, wf1.wavenumber)
-    return complex(np.sum(np.conj(wf1.coeffs) * (wf2.coeffs @ g)))
-
-
-def l2_norm(wf: WaveFunction) -> float:
-    """Exact L2 norm; raises NotNormalizableError off the discrete sectors."""
-    return float(np.sqrt(max(wf_inner(wf, wf).real, 0.0)))
-
-
-def normalize(wf: WaveFunction) -> WaveFunction:
-    n = l2_norm(wf)
-    if n < 1e-150:
-        raise ValueError("cannot normalize the zero wavefunction")
-    return replace(wf, coeffs=wf.coeffs / n)
-
-
 def half_parity_coeffs(geometry: Geometry, sector: str, q, coeffs) -> np.ndarray:
-    """half_parity on coefficients: q a wavenumber and coeffs (2, 2), or q
-    of shape (n,) and coeffs (n, 2, 2) for n states of one sector."""
+    """Reflect the upper component, (psi_+(x), psi_-(x)) -> (psi_+(l - x),
+    psi_-(x)), re-expanded in the same sector basis; an involution on
+    coefficients.  q a wavenumber and coeffs (2, 2), or q of shape (n,) and
+    coeffs (n, 2, 2) for n states of one sector."""
     if not geometry.is_interval:
         raise GeometryMismatchError("half parity is defined on an interval")
     length = geometry.l
@@ -396,15 +364,3 @@ def half_parity_coeffs(geometry: Geometry, sector: str, q, coeffs) -> np.ndarray
     new = np.array(coeffs)
     new[..., 0, :] = (t @ new[..., 0, :, None])[..., 0]
     return new
-
-
-def half_parity(wf: WaveFunction) -> WaveFunction:
-    """Reflect the upper component: (psi_+(x), psi_-(x)) -> (psi_+(l-x), psi_-(x)).
-
-    The reflected component is re-expanded in the same sector basis, so the
-    result is again a closed-form WaveFunction; the map is an involution on
-    coefficients.
-    """
-    return replace(
-        wf, coeffs=half_parity_coeffs(wf.geometry, wf.sector, wf.wavenumber, wf.coeffs)
-    )

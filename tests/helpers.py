@@ -1,4 +1,5 @@
-"""Test-only helpers: random draws, pointwise evaluation and closed-form
+"""Test-only helpers: random draws, pointwise evaluation, per-state
+boundary residuals, inner products and half parity, and closed-form
 residuals that no module of the package needs.
 
 They are written over the package's own basis and boundary-form
@@ -6,11 +7,19 @@ primitives, so a test built on them checks the same conventions the
 solver and the classifier use.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from singular_susy import IDENTITY, inverse_robin_length
+from singular_susy import IDENTITY, GeometryMismatchError, inverse_robin_length
 from singular_susy.spectra import _interval_matrix
-from singular_susy.system import _basis_values, derivative_rep
+from singular_susy.system import (
+    _basis_values,
+    _form_residual,
+    _gram,
+    derivative_rep,
+    half_parity_coeffs,
+)
 
 
 def random_unitary_2x2(rng: np.random.Generator) -> np.ndarray:
@@ -39,6 +48,49 @@ def derivative(wf, x: float) -> np.ndarray:
     """Psi'(x), exact (the basis is differentiated analytically)."""
     vals = _basis_values(wf.geometry, wf.sector, wf.wavenumber, x)
     return (wf.coeffs @ derivative_rep(wf.geometry, wf.sector, wf.wavenumber).T) @ vals
+
+
+def connection_residual(spec, b) -> float:
+    """Scale-free violation of the singularity condition at x = +0, for the
+    BoundaryData b of one state."""
+    return float(_form_residual(spec, 0, b.psi, b.dpsi))
+
+
+def wall_residual(spec, b) -> float:
+    """Scale-free violation of the wall condition at x = l."""
+    if not spec.geometry.is_interval:
+        raise GeometryMismatchError("wall condition exists only on an interval")
+    return float(_form_residual(spec, 1, b.psi, b.dpsi))
+
+
+def wf_inner(wf1, wf2) -> complex:
+    """L2 inner product (wf1 conjugated); both states must share a basis."""
+    if wf1.geometry != wf2.geometry or wf1.sector != wf2.sector:
+        raise ValueError("inner product requires a common sector basis")
+    if abs(wf1.wavenumber - wf2.wavenumber) > 1e-9 * max(1.0, wf1.wavenumber):
+        raise ValueError("inner product requires equal wavenumbers")
+    g = _gram(wf1.geometry, wf1.sector, wf1.wavenumber)
+    return complex(np.sum(np.conj(wf1.coeffs) * (wf2.coeffs @ g)))
+
+
+def l2_norm(wf) -> float:
+    """Exact L2 norm; raises NotNormalizableError off the discrete sectors."""
+    return float(np.sqrt(max(wf_inner(wf, wf).real, 0.0)))
+
+
+def normalize(wf):
+    n = l2_norm(wf)
+    if n < 1e-150:
+        raise ValueError("cannot normalize the zero wavefunction")
+    return replace(wf, coeffs=wf.coeffs / n)
+
+
+def half_parity(wf):
+    """Reflect the upper component: (psi_+(x), psi_-(x)) -> (psi_+(l-x), psi_-(x)),
+    re-expanded in the same sector basis."""
+    return replace(
+        wf, coeffs=half_parity_coeffs(wf.geometry, wf.sector, wf.wavenumber, wf.coeffs)
+    )
 
 
 def secular_matrix(spec, energy: float) -> np.ndarray:

@@ -21,7 +21,6 @@ from singular_susy import (
     classify_system,
     conjugate,
     diagonalize_u2,
-    half_parity,
     half_parity_system,
     inverse_robin_length,
     pauli_combination,
@@ -31,7 +30,7 @@ from singular_susy import (
     theta_for_scale,
 )
 
-from helpers import point_condition_residual, random_unitary_2x2
+from helpers import half_parity, point_condition_residual, random_unitary_2x2
 from families import (
     crossed_robin_interval,
     matched_robin_interval,

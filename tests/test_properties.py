@@ -130,6 +130,9 @@ def test_component_swap_covariance_at_large_rate():
 
 
 @pytest.mark.xfail(strict=True, reason="zero mode lost at a wall rate near the smallest double")
+# the lost zero mode comes with numpy's divide-by-zero warnings in det: the
+# xfail is the missing level, not the warning that the suite turns into an error
+@pytest.mark.filterwarnings("default::RuntimeWarning")
 @pytest.mark.parametrize("l, rate_l", [(1.0, 5e-324), (2.0, 2.2250738585072014e-308)])
 def test_half_parity_isospectral_at_tiny_wall_rate(l, rate_l):
     """A Neumann origin against a wall rate * l of about 1e-308 on the first

@@ -16,22 +16,26 @@ from singular_susy import (
     PrecisionLossError,
     SystemSpec,
     WaveFunction,
-    connection_residual,
     boundary_data,
     half_parity_system,
-    l2_norm,
     robin_matrix,
     solve_interval_spectrum,
     solve_line_bound_states,
     su2_from_euler,
     theta_for_scale,
+)
+from singular_susy import spectra
+from singular_susy.system import _basis_values, _gram
+
+from helpers import (
+    connection_residual,
+    l2_norm,
+    random_unitary_2x2,
+    robin_length,
+    secular_matrix,
     wall_residual,
     wf_inner,
 )
-from singular_susy import spectra
-from singular_susy.system import _basis_values
-
-from helpers import random_unitary_2x2, robin_length, secular_matrix
 from families import (
     crossed_robin_interval,
     matched_robin_interval,
@@ -229,6 +233,29 @@ def test_eigenstates_satisfy_conditions(rng):
         for i, a in enumerate(lv.states):
             for b in lv.states[i + 1 :]:
                 assert abs(wf_inner(a, b)) < 1e-10
+
+
+def test_states_keep_one_state_per_independent_eigenvector():
+    """_states on a stack of the true eigenvector e^{-x} = cosh x - sinh x
+    of matched theta = pi/2 (kappa = 1, upper component), a candidate that
+    meets the origin's Dirichlet condition but breaks the wall's (sinh x in
+    the lower component), and twice the eigenvector gives one unit,
+    phase-fixed state on e^{-x}; the foreign candidate alone gives none."""
+    spec = matched_robin_interval(np.pi / 2)
+    eigen = np.array([[1.0, -1.0], [0.0, 0.0]], dtype=complex)
+    foreign = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+    stack = np.array([eigen, foreign, 2.0 * eigen])
+    (st,) = spectra._states(spec, "negative", 1.0, stack)
+    assert (st.sector, st.wavenumber) == ("negative", 1.0)
+    c = st.coeffs
+    gram = _gram(spec.geometry, "negative", 1.0)
+    assert abs(np.sum(np.conj(c) * (c @ gram)) - 1.0) < 1e-12
+    top = c.ravel()[np.argmax(np.abs(c))]
+    assert top.imag == 0.0 and top.real > 0.0
+    assert np.allclose(c / top, eigen, rtol=0.0, atol=1e-12)
+    assert connection_residual(spec, boundary_data(st, "origin")) < 1e-8
+    assert wall_residual(spec, boundary_data(st, "wall")) < 1e-8
+    assert spectra._states(spec, "negative", 1.0, stack[1:2]) == ()
 
 
 def test_spectrum_sorted_and_ground():

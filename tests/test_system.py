@@ -19,19 +19,24 @@ from singular_susy import (
     ThetaPiError,
     WaveFunction,
     boundary_data,
-    connection_residual,
     conjugate,
-    half_parity,
     inverse_robin_length,
-    l2_norm,
-    normalize,
     robin_matrix,
     theta_for_scale,
+)
+
+from helpers import (
+    connection_residual,
+    derivative,
+    evaluate,
+    half_parity,
+    l2_norm,
+    normalize,
+    random_unitary_2x2,
+    robin_length,
     wall_residual,
     wf_inner,
 )
-
-from helpers import derivative, evaluate, random_unitary_2x2, robin_length
 from families import (
     crossed_robin_interval,
     matched_robin_interval,

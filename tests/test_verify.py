@@ -19,21 +19,24 @@ from singular_susy import (
     check_domain_preservation,
     check_lower_bound,
     classify_system,
-    connection_residual,
     deficiency_indices,
-    half_parity,
-    l2_norm,
     run_verification,
     solve_interval_spectrum,
     solve_line_bound_states,
     solve_spectrum,
     susy_boundary_form,
-    wall_residual,
-    wf_inner,
     witten_parity_search,
 )
+from singular_susy import spectra
 
-from helpers import random_unitary_2x2
+from helpers import (
+    connection_residual,
+    half_parity,
+    l2_norm,
+    random_unitary_2x2,
+    wall_residual,
+    wf_inner,
+)
 from families import (
     crossed_robin_interval,
     matched_robin_interval,
@@ -343,3 +346,34 @@ def test_battery_fails_on_one_foreign_state(rng):
             res = checks(good[:at] + [foreign] + good[at:])
             assert not res.passed
             assert res.residual == pytest.approx(alone.residual, rel=1e-12), res.details
+
+
+
+_BLIND = pytest.mark.xfail(strict=True, reason="ROADMAP: the battery cannot see a missing level")
+
+
+@pytest.mark.parametrize(
+    "drop",
+    [(), pytest.param((0,), marks=_BLIND), pytest.param((1,), marks=_BLIND)],
+    ids=["complete", "ground-dropped", "first-doublet-dropped"],
+)
+def test_battery_sees_a_missing_level(monkeypatch, drop):
+    """Matched theta = 1 on l = 1 at n_levels = 4: a single ground at
+    -tan^2(1/2), then the Dirichlet doublets n^2 pi^2.  A spectrum that
+    lost its ground, or its first doublet, contradicts the classification
+    and must fail the battery.  Both faults pass it with no failed check,
+    because run_verification classifies on the spectrum it is given."""
+    spec = matched_robin_interval(1.0)
+    levels = solve_spectrum(spec, 4).levels
+    assert [lv.multiplicity for lv in levels] == [1, 2, 2, 2]
+    assert abs(levels[0].energy + np.tan(0.5) ** 2) < 1e-12
+    for n, lv in enumerate(levels[1:], start=1):
+        assert abs(lv.energy - (n * np.pi) ** 2) < 1e-9 * lv.energy
+    solve = spectra.solve_spectrum
+
+    def lossy(spec, n_levels):
+        sp = solve(spec, n_levels)
+        return replace(sp, levels=[lv for i, lv in enumerate(sp.levels) if i not in drop])
+
+    monkeypatch.setattr(spectra, "solve_spectrum", lossy)
+    assert run_verification(spec, n_levels=4).all_passed == (drop == ())
