@@ -30,7 +30,6 @@ from .matkit import (
     su2_from_euler,
 )
 from .system import (
-    BoundaryData,
     Geometry,
     SystemSpec,
     WaveFunction,

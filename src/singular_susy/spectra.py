@@ -31,10 +31,8 @@ from .system import (
     SystemSpec,
     WaveFunction,
     _basis_values,
-    _boundary_values,
     _form_residual,
     _gram,
-    # unused: perfbench/spans.py patches spectra.boundary_data, and a missing name fails its runs
     boundary_data,
     inverse_robin_length,
 )
@@ -360,7 +358,7 @@ def _states(spec: SystemSpec, sector: str, q: float, coeffs: np.ndarray) -> tupl
     ends = [(0, 0.0), (1, geometry.l)] if geometry.is_interval else []
     ok = np.ones(len(coeffs), dtype=bool)
     for end, x in ends:
-        psi, dpsi = _boundary_values(geometry, sector, q, coeffs, x)
+        psi, dpsi = boundary_data(geometry, sector, q, coeffs, x)
         ok &= ~(_form_residual(spec, end, psi, dpsi) > 1e-8)
     gram = _gram(geometry, sector, q)
 
@@ -518,8 +516,7 @@ def solve_line_bound_states(spec: SystemSpec) -> Spectrum:
         coeffs = np.zeros((len(ws), 2, 2), dtype=complex)
         coeffs[:, :, 0] = ws  # w e^{-kappa x}: no x e^{-kappa x} term
         states = _states(spec, "negative", q, coeffs)
-        if states:
-            levels.append(Level(states[0].energy, "negative", q, len(states), states))
+        levels.append(Level(states[0].energy, "negative", q, len(states), states))
     levels.sort(key=lambda lv: lv.energy)
     kappa_max = max((q for q, _ in groups), default=0.0) + 1.0 / spec.L0
     report = {

@@ -181,18 +181,6 @@ class SystemSpec:
         return self.geometry.l
 
 
-@dataclass(frozen=True)
-class BoundaryData:
-    """One-sided boundary values (Psi, Psi') at an endpoint."""
-
-    psi: np.ndarray
-    dpsi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "psi", _readonly_complex(self.psi, (2,)))
-        object.__setattr__(self, "dpsi", _readonly_complex(self.dpsi, (2,)))
-
-
 def _norms(x: np.ndarray):
     """Euclidean norm over the last axis.  A single vector takes
     np.linalg.norm's own path, so a per-state residual is bitwise the
@@ -305,19 +293,14 @@ def _endpoint(geometry: Geometry, at: str) -> float:
     raise ValueError("at must be 'origin' or 'wall'")
 
 
-def _boundary_values(geometry: Geometry, sector: str, q, coeffs, x: float) -> tuple:
-    """(Psi, Psi') at x of states of one sector: coeffs (2, 2) or a stack
-    (n, 2, 2), and q one wavenumber or, for a stack, one per state of shape
-    (n,); values of shape (2,) or (n, 2)."""
+def boundary_data(geometry: Geometry, sector: str, q, coeffs, x: float) -> tuple:
+    """One-sided limits (Psi, Psi') at x (0 for x -> +0, or the wall l) of
+    states of one sector: coeffs (2, 2) or a stack (n, 2, 2), and q one
+    wavenumber or, for a stack, one per state of shape (n,); values of shape
+    (2,) or (n, 2)."""
     vals = _basis_values(geometry, sector, q, x).T[..., None]
     dcoeffs = coeffs @ derivative_rep(geometry, sector, q).swapaxes(-1, -2)
     return (coeffs @ vals)[..., 0], (dcoeffs @ vals)[..., 0]
-
-
-def boundary_data(wf: WaveFunction, at: str = "origin") -> BoundaryData:
-    """One-sided limits (Psi, Psi') at x -> +0 ("origin") or x = l ("wall")."""
-    x = _endpoint(wf.geometry, at)
-    return BoundaryData(*_boundary_values(wf.geometry, wf.sector, wf.wavenumber, wf.coeffs, x))
 
 
 def _gram(geometry: Geometry, sector: str, q) -> np.ndarray:

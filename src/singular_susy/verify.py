@@ -24,11 +24,11 @@ from .matkit import _phase_fixed, pauli_combination, pauli_vector
 from . import spectra
 from .system import (
     SystemSpec,
-    _boundary_values,
     _endpoint,
     _form_residual,
     _gram,
     _norms,
+    boundary_data,
     half_parity_coeffs,
 )
 
@@ -136,7 +136,7 @@ def check_domain_preservation(
             # a NaN image is never below the floor, so it is checked below
             moved = ~(_frobenius(image) <= floor)
             for end, x in ends:
-                psi, dpsi = _boundary_values(
+                psi, dpsi = boundary_data(
                     st.geometry, st.sector, st.q[moved], image[moved], x
                 )
                 residuals.append(_form_residual(spec, end, psi, dpsi))
@@ -230,7 +230,7 @@ def susy_boundary_form(states, charge: SuperchargeSpec, at: str = "origin") -> n
         coeffs = st.coeffs
         if charge.reflected:
             coeffs = half_parity_coeffs(st.geometry, st.sector, st.q, coeffs)
-        psi, _ = _boundary_values(st.geometry, st.sector, st.q, coeffs, x)
+        psi, _ = boundary_data(st.geometry, st.sector, st.q, coeffs, x)
         forms[st.index] = np.sum(psi.conj() * (psi @ charge.kinetic_matrix.T), axis=-1)
     return forms
 

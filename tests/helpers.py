@@ -1,6 +1,6 @@
 """Test-only helpers: random draws, pointwise evaluation, per-state
-boundary residuals, inner products and half parity, and closed-form
-residuals that no module of the package needs.
+boundary values and residuals, inner products and half parity, and
+closed-form residuals that no module of the package needs.
 
 They are written over the package's own basis and boundary-form
 primitives, so a test built on them checks the same conventions the
@@ -8,6 +8,7 @@ solver and the classifier use.
 """
 
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,8 +16,10 @@ from singular_susy import IDENTITY, GeometryMismatchError, inverse_robin_length
 from singular_susy.spectra import _interval_matrix
 from singular_susy.system import (
     _basis_values,
+    _endpoint,
     _form_residual,
     _gram,
+    boundary_data,
     derivative_rep,
     half_parity_coeffs,
 )
@@ -48,6 +51,20 @@ def derivative(wf, x: float) -> np.ndarray:
     """Psi'(x), exact (the basis is differentiated analytically)."""
     vals = _basis_values(wf.geometry, wf.sector, wf.wavenumber, x)
     return (wf.coeffs @ derivative_rep(wf.geometry, wf.sector, wf.wavenumber).T) @ vals
+
+
+class BoundaryData(NamedTuple):
+    """One-sided boundary values (Psi, Psi') of one state at an endpoint."""
+
+    psi: np.ndarray
+    dpsi: np.ndarray
+
+
+def endpoint_data(wf, at: str = "origin") -> BoundaryData:
+    """One-sided limits (Psi, Psi') of one state at x -> +0 ("origin") or
+    x = l ("wall")."""
+    x = _endpoint(wf.geometry, at)
+    return BoundaryData(*boundary_data(wf.geometry, wf.sector, wf.wavenumber, wf.coeffs, x))
 
 
 def connection_residual(spec, b) -> float:

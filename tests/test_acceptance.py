@@ -19,7 +19,6 @@ from singular_susy import (
     annihilates,
     check_algebra,
     check_degeneracy_pairing,
-    boundary_data,
     check_domain_preservation,
     classify_system,
     conjugate,
@@ -29,7 +28,7 @@ from singular_susy import (
     witten_parity_search,
 )
 
-from helpers import random_unitary_2x2
+from helpers import endpoint_data, random_unitary_2x2
 from families import (
     crossed_robin_interval,
     matched_robin_interval,
@@ -249,4 +248,4 @@ def test_domain_violation_regression():
         img = q.apply(wf)
         want = np.array([[-1j, 1j], [0.0, 0.0]]) / np.sqrt(2.0)  # i lam (x-1)e^-x up pairing
         assert np.allclose(img.coeffs, want, atol=1e-14)
-        assert abs(boundary_data(img, "origin").dpsi[0]) > 1.0  # Neumann broken
+        assert abs(endpoint_data(img, "origin").dpsi[0]) > 1.0  # Neumann broken

@@ -16,7 +16,6 @@ from singular_susy import (
     PrecisionLossError,
     SystemSpec,
     WaveFunction,
-    boundary_data,
     half_parity_system,
     robin_matrix,
     solve_interval_spectrum,
@@ -29,6 +28,7 @@ from singular_susy.system import _basis_values, _gram
 
 from helpers import (
     connection_residual,
+    endpoint_data,
     l2_norm,
     random_unitary_2x2,
     robin_length,
@@ -227,8 +227,8 @@ def test_eigenstates_satisfy_conditions(rng):
         assert len(lv.states) == lv.multiplicity
         for st in lv.states:
             assert abs(l2_norm(st) - 1.0) < 1e-10
-            assert connection_residual(spec, boundary_data(st, "origin")) < 1e-8
-            assert wall_residual(spec, boundary_data(st, "wall")) < 1e-8
+            assert connection_residual(spec, endpoint_data(st, "origin")) < 1e-8
+            assert wall_residual(spec, endpoint_data(st, "wall")) < 1e-8
         # orthonormal within the level
         for i, a in enumerate(lv.states):
             for b in lv.states[i + 1 :]:
@@ -253,8 +253,8 @@ def test_states_keep_one_state_per_independent_eigenvector():
     top = c.ravel()[np.argmax(np.abs(c))]
     assert top.imag == 0.0 and top.real > 0.0
     assert np.allclose(c / top, eigen, rtol=0.0, atol=1e-12)
-    assert connection_residual(spec, boundary_data(st, "origin")) < 1e-8
-    assert wall_residual(spec, boundary_data(st, "wall")) < 1e-8
+    assert connection_residual(spec, endpoint_data(st, "origin")) < 1e-8
+    assert wall_residual(spec, endpoint_data(st, "wall")) < 1e-8
     assert spectra._states(spec, "negative", 1.0, stack[1:2]) == ()
 
 
@@ -304,10 +304,10 @@ def test_secular_matrix_encodes_both_boundary_forms(rng):
         unit = WaveFunction(spec.geometry, sector, q, eye, spec.lam)
         forms, sizes = [], []
         for mat, at in ((spec.U, "origin"), (spec.Dl, "wall")):
-            b = boundary_data(wf, at)
+            b = endpoint_data(wf, at)
             forms.append((mat - eye) @ b.psi + 1j * spec.L0 * (mat + eye) @ b.dpsi)
             # cancellation-free size of every term that sums into the row
-            v = boundary_data(unit, at)
+            v = endpoint_data(unit, at)
             sizes.append(
                 np.abs(mat - eye) @ np.abs(c) @ np.abs(v.psi)
                 + spec.L0 * np.abs(mat + eye) @ np.abs(c) @ np.abs(v.dpsi)
@@ -389,7 +389,7 @@ def test_line_bound_states_closed_form(rng):
             assert abs(g - t) < 1e-9 * t
         for lv in levels:
             for st in lv.states:
-                assert connection_residual(spec, boundary_data(st, "origin")) < 1e-8
+                assert connection_residual(spec, endpoint_data(st, "origin")) < 1e-8
 
 
 def test_line_scalar_u_gives_doublet():

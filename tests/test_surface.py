@@ -36,7 +36,6 @@ PUBLIC = {
     "pauli_vector",
     "su2_from_euler",
     # system
-    "BoundaryData",
     "Geometry",
     "SystemSpec",
     "WaveFunction",
@@ -81,14 +80,6 @@ def test_public_surface_is_pinned():
     assert names == PUBLIC
 
 
-# public names the package itself does not run, each with the reason it stays
-UNUSED_BUT_KEPT = {
-    # perfbench/spans.py patches spectra.boundary_data by name, so the traced
-    # benchmark runs fail if the name is missing
-    "boundary_data",
-}
-
-
 def _uses(tree: ast.AST) -> set:
     """Names read in a module: loaded names and attribute names.  Imports,
     assignments and def/class statements bind names and do not count."""
@@ -107,4 +98,4 @@ def test_every_public_name_is_used_by_the_package():
     for path in package.glob("*.py"):
         if path.name != "__init__.py":
             used |= _uses(ast.parse(path.read_text(), filename=str(path)))
-    assert PUBLIC - used == UNUSED_BUT_KEPT
+    assert PUBLIC - used == set()

@@ -18,7 +18,6 @@ from singular_susy import (
     SystemSpec,
     ThetaPiError,
     WaveFunction,
-    boundary_data,
     conjugate,
     inverse_robin_length,
     robin_matrix,
@@ -28,6 +27,7 @@ from singular_susy import (
 from helpers import (
     connection_residual,
     derivative,
+    endpoint_data,
     evaluate,
     half_parity,
     l2_norm,
@@ -212,11 +212,11 @@ def test_residual_zero_on_matching_state():
         np.array([[1.0, -1.0], [0.0, 0.0]]),
         spec.lam,
     )
-    assert connection_residual(spec, boundary_data(wf, "origin")) < 1e-14
+    assert connection_residual(spec, endpoint_data(wf, "origin")) < 1e-14
     mismatched = WaveFunction(
         spec.geometry, "negative", kappa, np.array([[1.0, 1.0], [0.0, 0.0]]), spec.lam
     )
-    assert connection_residual(spec, boundary_data(mismatched, "origin")) > 1e-2
+    assert connection_residual(spec, endpoint_data(mismatched, "origin")) > 1e-2
 
 
 def test_residual_conjugation_covariance(rng):
@@ -230,8 +230,8 @@ def test_residual_conjugation_covariance(rng):
         wf2 = WaveFunction(
             Geometry.line(), "negative", wf.wavenumber, w @ wf.coeffs, 1.0
         )
-        r1 = connection_residual(spec, boundary_data(wf, "origin"))
-        r2 = connection_residual(spec2, boundary_data(wf2, "origin"))
+        r1 = connection_residual(spec, endpoint_data(wf, "origin"))
+        r2 = connection_residual(spec2, endpoint_data(wf2, "origin"))
         assert abs(r1 - r2) < 1e-10
 
 
@@ -239,7 +239,7 @@ def test_wall_residual_dirichlet():
     geo = Geometry.interval(1.0)
     spec = SystemSpec(geo, np.eye(2, dtype=complex), -np.eye(2, dtype=complex), 1.0, 1.0)
     wf = WaveFunction(geo, "positive", np.pi, np.array([[0.0, 1.0], [0.0, 1.0]]), 1.0)
-    assert wall_residual(spec, boundary_data(wf, "wall")) < 1e-12
+    assert wall_residual(spec, endpoint_data(wf, "wall")) < 1e-12
 
 
 def _form_reference(m, b, L0):
@@ -278,8 +278,8 @@ def test_boundary_form_is_derived_from_the_fields(rng):
                 assert size_plus[end].tobytes() == (spec.L0 * np.abs(m + IDENTITY)).tobytes()
         for _ in range(10):
             wf = random_wf(rng, spec.geometry)
-            b = boundary_data(wf, "origin")
+            b = endpoint_data(wf, "origin")
             assert connection_residual(spec, b) == _form_reference(spec.U, b, spec.L0)
             if spec.geometry.is_interval:
-                b = boundary_data(wf, "wall")
+                b = endpoint_data(wf, "wall")
                 assert wall_residual(spec, b) == _form_reference(spec.Dl, b, spec.L0)

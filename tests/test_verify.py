@@ -13,7 +13,6 @@ from singular_susy import (
     SystemSpec,
     WaveFunction,
     annihilates,
-    boundary_data,
     check_algebra,
     check_degeneracy_pairing,
     check_domain_preservation,
@@ -31,6 +30,7 @@ from singular_susy import spectra
 
 from helpers import (
     connection_residual,
+    endpoint_data,
     half_parity,
     l2_norm,
     random_unitary_2x2,
@@ -76,8 +76,8 @@ def test_ground_state_annihilated_when_good():
 
 def _boundary_form(wf1, wf2, a_matrix, at="origin"):
     """Per-state reference: the sesquilinear endpoint form Psi_1(x0)^dag A Psi_2(x0)."""
-    b1 = boundary_data(wf1, at)
-    b2 = boundary_data(wf2, at)
+    b1 = endpoint_data(wf1, at)
+    b2 = endpoint_data(wf2, at)
     return complex(b1.psi.conj() @ (np.asarray(a_matrix, dtype=complex) @ b2.psi))
 
 
@@ -229,9 +229,9 @@ def _reference_domain(spec, charge, wf):
     )
     if np.linalg.norm(image.coeffs) <= floor:
         return 0.0
-    r = connection_residual(spec, boundary_data(image, "origin"))
+    r = connection_residual(spec, endpoint_data(image, "origin"))
     if spec.geometry.is_interval:
-        r = max(r, wall_residual(spec, boundary_data(image, "wall")))
+        r = max(r, wall_residual(spec, endpoint_data(image, "wall")))
     return r
 
 
