@@ -13,8 +13,8 @@ N2, a single charge with a fixed sigma3 shift component (N1), or none.
 Interval systems with diagonal U whose boundary matrices lack the pair
 (both proportional to the identity arise as reflections of solved ones)
 are classified by transporting the charges of the upper-component-reflected
-system; such charges carry reflected=True and apply() folds the reflection
-in.  classify_system builds every classification.
+system; such charges carry reflected=True and apply_coeffs() folds the
+reflection in.  classify_system builds every classification.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ from .errors import GeometryMismatchError, NotDiagonalError
 from .matkit import (
     IDENTITY,
     SIGMA1,
+    _PHASE_TOL,
+    _TWO_PI,
+    _is_diagonal,
     circular_distance,
     conjugate,
     diagonalize_u2,
@@ -46,11 +49,8 @@ from .system import (
     inverse_robin_length,
 )
 
-_PHASE_TOL = 1e-9
 _ANNIHILATE_TOL = 1e-10
-_DIAGONAL_TOL = 1e-10  # off-diagonal entries up to this read as diagonal
 _SQRT2 = np.sqrt(2.0)
-_TWO_PI = 2.0 * np.pi
 
 DEGREES = ("none", "N1", "N2")
 GOODNESS = ("Good", "Broken", "NotApplicable")
@@ -64,9 +64,10 @@ class SuperchargeSpec:
     charge reads q(alpha, c; theta) with
         a = (cos alpha, sin alpha, 0),
         b = (lam tan(theta/2)/L0) (sin alpha, -cos alpha, 0) + (0, 0, c),
-    and the stored conjugator V carries it to the system frame.  apply()
-    realizes Q = V^dag q V / sqrt(2) on closed-form coefficients, so
-    applying twice multiplies an energy-E eigenstate by (E + |b|^2)/2.
+    and the stored conjugator V carries it to the system frame.
+    apply_coeffs() realizes Q = V^dag q V / sqrt(2) on closed-form
+    coefficients, so applying twice multiplies an energy-E eigenstate by
+    (E + |b|^2)/2.
     """
 
     alpha: float
@@ -146,12 +147,6 @@ class SuperchargeSpec:
             new = half_parity_coeffs(geometry, sector, q, new)
         return new
 
-    def apply(self, wf: WaveFunction) -> WaveFunction:
-        """Closed-form action on a wavefunction; keeps the energy label."""
-        return replace(
-            wf, coeffs=self.apply_coeffs(wf.geometry, wf.sector, wf.wavenumber, wf.coeffs)
-        )
-
 
 @dataclass(frozen=True)
 class SusyClassification:
@@ -193,10 +188,6 @@ def annihilates(charge: SuperchargeSpec, wf: WaveFunction) -> bool:
         charge.lam * (wf.wavenumber + 1.0) + np.sqrt(charge.shift)
     ) * np.linalg.norm(wf.coeffs)
     return float(np.linalg.norm(image)) <= _ANNIHILATE_TOL * max(scale, 1e-300)
-
-
-def _is_diagonal(m: np.ndarray) -> bool:
-    return max(abs(m[0, 1]), abs(m[1, 0])) <= _DIAGONAL_TOL
 
 
 def _goodness(

@@ -20,6 +20,7 @@ PAULI = (SIGMA1, SIGMA2, SIGMA3)
 _TWO_PI = 2.0 * np.pi
 _TOL = 1e-10  # unitarity, and eigenvalues closer than this are one
 _PHASE_TOL = 1e-9  # an eigenvalue this close to -1 is the Dirichlet one
+_DIAGONAL_TOL = 1e-10  # off-diagonal entries up to this read as diagonal
 
 
 def pauli_combination(v) -> np.ndarray:
@@ -50,6 +51,10 @@ def conjugate(w, m) -> np.ndarray:
     w = np.asarray(w, dtype=complex)
     m = np.asarray(m, dtype=complex)
     return w @ m @ w.conj().T
+
+
+def _is_diagonal(m) -> bool:
+    return max(abs(m[0, 1]), abs(m[1, 0])) <= _DIAGONAL_TOL
 
 
 def circular_distance(x: float, y: float) -> float:
@@ -83,8 +88,8 @@ def euler_angles_of(v) -> tuple[float, float]:
     if abs(b) < 1e-12:
         return 0.0, 0.0
     if abs(a) < 1e-12:
-        return np.pi, float((-2.0 * np.angle(b)) % (2.0 * np.pi))
-    nu = (np.angle(a) - np.angle(b)) % (2.0 * np.pi)
+        return np.pi, float((-2.0 * np.angle(b)) % _TWO_PI)
+    nu = (np.angle(a) - np.angle(b)) % _TWO_PI
     return float(mu), float(nu)
 
 

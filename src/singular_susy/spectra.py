@@ -26,13 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryMismatchError, PrecisionLossError
-from .matkit import _phase_fixed, diagonalize_u2
+from .matkit import _PHASE_TOL, _TWO_PI, _phase_fixed, diagonalize_u2
 from .system import (
     SystemSpec,
     WaveFunction,
     _basis_values,
     _form_residual,
     _gram,
+    _gram_norms,
     boundary_data,
     inverse_robin_length,
 )
@@ -68,10 +69,6 @@ class Spectrum:
     @property
     def ground(self) -> Level | None:
         return self.levels[0] if self.levels else None
-
-    @property
-    def energies(self) -> list:
-        return [lv.energy for lv in self.levels]
 
 
 def _interval_matrix(
@@ -361,12 +358,8 @@ def _states(spec: SystemSpec, sector: str, q: float, coeffs: np.ndarray) -> tupl
         psi, dpsi = boundary_data(geometry, sector, q, coeffs, x)
         ok &= ~(_form_residual(spec, end, psi, dpsi) > 1e-8)
     gram = _gram(geometry, sector, q)
-
-    def norms(c):
-        return np.sqrt(np.maximum(np.sum(np.conj(c) * (c @ gram), axis=(-2, -1)).real, 0.0))
-
     coeffs = coeffs[ok]
-    n = norms(coeffs)
+    n = _gram_norms(coeffs, gram)
     if np.any(n < 1e-150):  # the Gram form cancelled to the zero wavefunction
         where = "kappa*l = %.6g" % (q * geometry.l) if geometry.is_interval else "kappa = %.6g" % q
         raise PrecisionLossError(
@@ -376,7 +369,7 @@ def _states(spec: SystemSpec, sector: str, q: float, coeffs: np.ndarray) -> tupl
     for c in coeffs / n[:, None, None]:
         for prev in kept:
             c = c - np.sum(np.conj(prev) * (c @ gram)) * prev
-        n = norms(c)
+        n = _gram_norms(c, gram)
         if n > 1e-8:
             kept.append(_phase_fixed((c / n).ravel()).reshape(2, 2))
     return tuple(WaveFunction(geometry, sector, q, c, spec.lam) for c in kept)
@@ -399,11 +392,11 @@ def _interval_level(spec: SystemSpec, sector: str, q: float) -> Level | None:
 def _binding_rate(w: complex, L0: float) -> float:
     """Robin rate tan(phi/2) / L0 of a boundary eigenvalue w = e^{i phi} at
     the origin (conjugate a wall eigenvalue first), or 0.0 when it binds
-    nothing: w within 1e-9 of -1 is Dirichlet, and a rate must exceed
-    1e-9 / L0."""
-    if abs(w + 1.0) <= 1e-9:
+    nothing: w within _PHASE_TOL of -1 is Dirichlet, and a rate must
+    exceed 1e-9 / L0."""
+    if abs(w + 1.0) <= _PHASE_TOL:
         return 0.0
-    q = inverse_robin_length(np.angle(w) % (2.0 * np.pi), L0)
+    q = inverse_robin_length(np.angle(w) % _TWO_PI, L0)
     return q if q > 1e-9 / L0 else 0.0
 
 

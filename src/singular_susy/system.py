@@ -25,11 +25,10 @@ from .errors import (
     NotUnitaryError,
     ThetaPiError,
 )
-from .matkit import IDENTITY, is_unitary
+from .matkit import IDENTITY, _TWO_PI, _is_diagonal, is_unitary
 
 SECTORS = ("positive", "zero", "negative")
 
-_TWO_PI = 2.0 * np.pi
 _TINY = 5e-324  # the smallest subnormal double
 
 
@@ -141,7 +140,7 @@ class SystemSpec:
             d = _readonly_complex(self.Dl, (2, 2))
             if not is_unitary(d, 1e-10):
                 raise NotUnitaryError("Dl must be unitary within 1e-10")
-            if max(abs(d[0, 1]), abs(d[1, 0])) > 1e-10:
+            if not _is_diagonal(d):
                 raise NotDiagonalError("Dl must be diagonal")
             object.__setattr__(self, "Dl", d)
         elif self.Dl is not None:
@@ -181,23 +180,16 @@ class SystemSpec:
         return self.geometry.l
 
 
-def _norms(x: np.ndarray):
-    """Euclidean norm over the last axis.  A single vector takes
-    np.linalg.norm's own path, so a per-state residual is bitwise the
-    written-out formula."""
-    if x.ndim == 1:
-        return np.linalg.norm(x)
-    return np.linalg.norm(x, axis=-1)
-
-
 def _form_residual(spec: SystemSpec, end: int, psi: np.ndarray, dpsi: np.ndarray):
     """Scale-free violation of the boundary form at one end, for boundary
     values psi, dpsi stacked as (..., 2); 0 where both vanish."""
     minus, plus = spec.form
     lhs = (minus[end] @ psi[..., None] + plus[end] @ dpsi[..., None])[..., 0]
     # psi = dpsi = 0 gives lhs = 0, which the smallest subnormal scale reads as 0
-    scale = np.maximum(np.maximum(_norms(psi), spec.L0 * _norms(dpsi)), _TINY)
-    return _norms(lhs) / scale
+    scale = np.maximum(
+        np.maximum(np.linalg.norm(psi, axis=-1), spec.L0 * np.linalg.norm(dpsi, axis=-1)), _TINY
+    )
+    return np.linalg.norm(lhs, axis=-1) / scale
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -326,6 +318,12 @@ def _gram(geometry: Geometry, sector: str, q) -> np.ndarray:
     odd = np.sinh(2 * q * l) / (4 * q) - l / 2
     cross = np.sinh(q * l) ** 2 / (2 * q)
     return _per_wavenumber(q, even, cross, cross, odd)
+
+
+def _gram_norms(coeffs: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """L2 norm of each state of a (..., 2, 2) coefficient stack in the Gram
+    metric gram, clipped at 0 where rounding makes the form negative."""
+    return np.sqrt(np.maximum(np.sum(np.conj(coeffs) * (coeffs @ gram), axis=(-2, -1)).real, 0.0))
 
 
 def half_parity_coeffs(geometry: Geometry, sector: str, q, coeffs) -> np.ndarray:

@@ -27,7 +27,7 @@ from .system import (
     _endpoint,
     _form_residual,
     _gram,
-    _norms,
+    _gram_norms,
     boundary_data,
     half_parity_coeffs,
 )
@@ -108,7 +108,7 @@ def _stacks(states) -> list:
 
 def _frobenius(c: np.ndarray) -> np.ndarray:
     """Frobenius norm of each 2x2 matrix in a (..., 2, 2) stack."""
-    return _norms(c.reshape(c.shape[:-2] + (4,)))
+    return np.linalg.norm(c.reshape(c.shape[:-2] + (4,)), axis=-1)
 
 
 def _worst(residuals: list) -> float:
@@ -194,13 +194,9 @@ def check_degeneracy_pairing(
         # states of one level share its sector and wavenumber, so within a
         # stack the partners of state i are the j of the same level
         partner = level[st.index][:, None] == level[st.index][None, :]
-
-        def norm(c):
-            return np.sqrt(np.maximum(np.sum(np.conj(c) * (c @ gram), axis=(-2, -1)).real, 0.0))
-
         for q in classification.charges:
             img = st.image(q)
-            inorm = norm(img)
+            inorm = _gram_norms(img, gram)
             floor = 1e-12 * (q.lam * (st.q + 1.0) + np.sqrt(q.shift) + 1.0)
             kept = ~(inorm <= floor)
             annihilated += int(np.count_nonzero(~kept))
@@ -210,7 +206,7 @@ def check_degeneracy_pairing(
             # form inorm^2 - sum |<s, img>|^2 hits through cancellation
             overlap = np.einsum("jab,iab->ij", np.conj(st.coeffs), img @ gram)
             left = img - np.einsum("ij,jab->iab", np.where(partner, overlap, 0.0), st.coeffs)
-            leaks.append(norm(left)[kept] / inorm[kept])
+            leaks.append(_gram_norms(left, gram)[kept] / inorm[kept])
     worst = _worst(leaks)
     details = "%d images in span, %d annihilated, worst leak %.3e" % (
         moved,
@@ -276,50 +272,27 @@ def witten_parity_search(
     spec: SystemSpec, classification: SusyClassification
 ) -> np.ndarray | None:
     """Grading operator W = sigma . n with [W, U] = [W, Dl] = 0 and
-    {W, Q} = 0 for every charge, or None when no direction fits.
+    {W, Q} = 0 for every charge, or None when U's own axis does not fit.
 
-    Non-scalar boundary matrices pin n to their common Pauli axis;
-    identity-proportional ones leave n the unit normal of the span of the
-    charge vectors.  Reflection-dressed charges additionally force W to be
-    diagonal.  A candidate counts only if every commutator and
+    Every charge is a sigma1-sigma2 combination in the frame that
+    diagonalizes U (classify._degree), so the one direction that can grade
+    the algebra is that frame's sigma3: U's own Pauli axis.  A scalar U
+    has no {-1, e^{i theta != pi}} pair, so its charges can only be
+    reflected ones, carried through the diagonal half parity, and those
+    need a diagonal W: sigma3.  W counts only if every commutator and
     anticommutator vanishes numerically.
     """
     if not classification.charges:
         return None
+    vec = pauli_vector(spec.U)
+    n = _real_direction(vec) if np.linalg.norm(vec) > 1e-10 else np.array([0.0, 0.0, 1.0])
+    w = pauli_combination(n)
     mats = [spec.U] + ([spec.Dl] if spec.geometry.is_interval else [])
-    axes = []
-    for m in mats:
-        vec = pauli_vector(m)
-        if np.linalg.norm(vec) > 1e-10:
-            axes.append(_real_direction(vec))
-    candidates = []
-    if axes:
-        n0 = axes[0]
-        if all(np.linalg.norm(np.cross(n0, a)) < 1e-8 for a in axes[1:]):
-            candidates.append(n0)
-    else:
-        rows = []
-        for q in classification.charges:
-            for m in (q.kinetic_matrix, q.shift_matrix):
-                vec = pauli_vector(m)
-                if np.linalg.norm(vec) > 1e-10:
-                    rows.append(_real_direction(vec))
-        if rows:
-            _, _, vh = np.linalg.svd(np.array(rows))
-            cand = vh[-1]
-            j = int(np.argmax(np.abs(cand)))
-            candidates.append(cand if cand[j] >= 0 else -cand)
-    if any(q.reflected for q in classification.charges):
-        candidates = [n for n in candidates if abs(abs(n[2]) - 1.0) < 1e-8]
-    for n in candidates:
-        w = pauli_combination(n / np.linalg.norm(n))
-        ok = all(float(np.max(np.abs(m @ w - w @ m))) <= 1e-10 for m in mats)
-        for q in classification.charges:
-            for m in (q.kinetic_matrix, q.shift_matrix):
-                if float(np.max(np.abs(m @ w + w @ m))) > 1e-10:
-                    ok = False
-        if ok:
-            return w
+    anti = [m for q in classification.charges for m in (q.kinetic_matrix, q.shift_matrix)]
+    if all(np.max(np.abs(m @ w - w @ m)) <= 1e-10 for m in mats) and all(
+        np.max(np.abs(m @ w + w @ m)) <= 1e-10 for m in anti
+    ):
+        return w
     return None
 
 

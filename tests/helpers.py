@@ -1,6 +1,7 @@
 """Test-only helpers: random draws, pointwise evaluation, per-state
-boundary values and residuals, inner products and half parity, and
-closed-form residuals that no module of the package needs.
+boundary values and residuals, inner products, half parity and charge
+images, level energies, and closed-form residuals that no module of the
+package needs.
 
 They are written over the package's own basis and boundary-form
 primitives, so a test built on them checks the same conventions the
@@ -108,6 +109,18 @@ def half_parity(wf):
     return replace(
         wf, coeffs=half_parity_coeffs(wf.geometry, wf.sector, wf.wavenumber, wf.coeffs)
     )
+
+
+def apply(charge, wf):
+    """The charge's image of one state; keeps the energy label."""
+    return replace(
+        wf, coeffs=charge.apply_coeffs(wf.geometry, wf.sector, wf.wavenumber, wf.coeffs)
+    )
+
+
+def energies(spectrum) -> list:
+    """Level energies of a spectrum, lowest first."""
+    return [lv.energy for lv in spectrum.levels]
 
 
 def secular_matrix(spec, energy: float) -> np.ndarray:

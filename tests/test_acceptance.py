@@ -28,7 +28,7 @@ from singular_susy import (
     witten_parity_search,
 )
 
-from helpers import endpoint_data, random_unitary_2x2
+from helpers import apply, endpoint_data, random_unitary_2x2
 from families import (
     crossed_robin_interval,
     matched_robin_interval,
@@ -245,7 +245,7 @@ def test_domain_violation_regression():
         )
         res = check_domain_preservation(spec, (q,), [wf])
         assert not res.passed
-        img = q.apply(wf)
+        img = apply(q, wf)
         want = np.array([[-1j, 1j], [0.0, 0.0]]) / np.sqrt(2.0)  # i lam (x-1)e^-x up pairing
         assert np.allclose(img.coeffs, want, atol=1e-14)
         assert abs(endpoint_data(img, "origin").dpsi[0]) > 1.0  # Neumann broken

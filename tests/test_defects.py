@@ -18,7 +18,7 @@ import pytest
 from singular_susy import Geometry, SystemSpec, solve_interval_spectrum, solve_line_bound_states
 
 from families import crossed_robin_interval, matched_robin_interval, reflected_crossed_interval
-from helpers import random_unitary_2x2
+from helpers import energies, random_unitary_2x2
 from oracle import count_ground_energy, oracle_decoupled_roots
 
 
@@ -116,7 +116,7 @@ def _assert_line_limit(K: float, kappa_l_max: float):
     for u, L0, line_levels in _line_limit_systems():
         l = K / min(lv.wavenumber for lv in line_levels)
         spec = SystemSpec(Geometry.interval(l), u, -np.eye(2), 1.0, L0)
-        got = solve_interval_spectrum(spec, n_levels=len(line_levels)).energies
+        got = energies(solve_interval_spectrum(spec, n_levels=len(line_levels)))
         for lv in line_levels:
             kappa_l = lv.wavenumber * l
             if kappa_l > kappa_l_max:

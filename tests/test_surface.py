@@ -2,12 +2,13 @@
 
 A name only tests need lives in tests/ (helpers.py, oracle.py,
 families.py), so adding one to singular_susy has to change this list, and
-every public name must be read by some package module other than
-__init__.py.
+every public name, and every public method or property of an exported
+class, must be read by some package module other than __init__.py.
 """
 
 import ast
 import types
+from functools import cached_property
 from pathlib import Path
 
 import singular_susy
@@ -92,10 +93,29 @@ def _uses(tree: ast.AST) -> set:
     return used
 
 
-def test_every_public_name_is_used_by_the_package():
+def _package_uses() -> set:
     package = Path(singular_susy.__file__).parent
     used = set()
     for path in package.glob("*.py"):
         if path.name != "__init__.py":
             used |= _uses(ast.parse(path.read_text(), filename=str(path)))
-    assert PUBLIC - used == set()
+    return used
+
+
+def test_every_public_name_is_used_by_the_package():
+    assert PUBLIC - _package_uses() == set()
+
+
+def test_every_public_member_is_used_by_the_package():
+    """Methods and properties that only tests read live in tests/helpers.py;
+    dataclass fields are data, not members, and are not listed."""
+    kinds = (types.FunctionType, property, cached_property, classmethod, staticmethod)
+    members = {
+        "%s.%s" % (name, attr)
+        for name in PUBLIC
+        if isinstance(getattr(singular_susy, name), type)
+        for attr, value in vars(getattr(singular_susy, name)).items()
+        if not attr.startswith("_") and isinstance(value, kinds)
+    }
+    used = _package_uses()
+    assert {m for m in members if m.split(".")[1] not in used} == set()

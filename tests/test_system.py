@@ -243,10 +243,11 @@ def test_wall_residual_dirichlet():
 
 
 def _form_reference(m, b, L0):
-    """The boundary-form residual written out from the boundary matrix m."""
+    """The boundary-form residual written out from the boundary matrix m,
+    with norms over the last axis as the package takes them on stacks."""
     lhs = (m - IDENTITY) @ b.psi + 1j * L0 * (m + IDENTITY) @ b.dpsi
-    scale = max(np.linalg.norm(b.psi), L0 * np.linalg.norm(b.dpsi))
-    return float(np.linalg.norm(lhs) / scale)
+    scale = max(np.linalg.norm(b.psi, axis=-1), L0 * np.linalg.norm(b.dpsi, axis=-1))
+    return float(np.linalg.norm(lhs, axis=-1) / scale)
 
 
 def test_boundary_form_is_derived_from_the_fields(rng):

@@ -10,6 +10,7 @@ from singular_susy import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
+    SusyClassification,
     SystemSpec,
     WaveFunction,
     annihilates,
@@ -24,11 +25,17 @@ from singular_susy import (
     solve_line_bound_states,
     solve_spectrum,
     susy_boundary_form,
+    pauli_combination,
+    pauli_vector,
+    robin_matrix,
+    su2_from_euler,
     witten_parity_search,
 )
-from singular_susy import spectra
+from singular_susy import classify, spectra
+from singular_susy.matkit import _phase_fixed
 
 from helpers import (
+    apply,
     connection_residual,
     endpoint_data,
     half_parity,
@@ -57,7 +64,7 @@ def test_apply_supercharge_known_image():
     cls = classify_system(spec)
     q = next(c for c in cls.charges if np.allclose(c.kinetic_matrix, SIGMA1))
     wf = WaveFunction(spec.geometry, "negative", 1.0, np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex), 1.0)
-    img = q.apply(wf)
+    img = apply(q, wf)
     want = np.array([[-1j, 1j], [0.0, 0.0]]) / np.sqrt(2.0)
     assert np.allclose(img.coeffs, want, atol=1e-14)
 
@@ -124,6 +131,101 @@ def test_witten_parity_directions():
     assert np.allclose(parity(robin_line(1.2)), SIGMA3)
     # a single charge with tilted boundary axes admits no grading
     assert parity(simple_charge_interval(np.pi / 3)) is None
+
+
+def _reference_witten(spec, classification):
+    """The direction search that witten_parity_search replaced: the Pauli
+    axes of U and Dl with a cross-product test, the unit normal of the
+    charge vectors when both are scalar, and a diagonal filter for
+    reflected charges."""
+    if not classification.charges:
+        return None
+    mats = [spec.U] + ([spec.Dl] if spec.geometry.is_interval else [])
+
+    def direction(vec):
+        u = np.real(_phase_fixed(vec))
+        return u / np.linalg.norm(u)
+
+    axes = [direction(pauli_vector(m)) for m in mats if np.linalg.norm(pauli_vector(m)) > 1e-10]
+    candidates = []
+    if axes:
+        if all(np.linalg.norm(np.cross(axes[0], a)) < 1e-8 for a in axes[1:]):
+            candidates.append(axes[0])
+    else:
+        rows = [
+            direction(pauli_vector(m))
+            for q in classification.charges
+            for m in (q.kinetic_matrix, q.shift_matrix)
+            if np.linalg.norm(pauli_vector(m)) > 1e-10
+        ]
+        if rows:
+            cand = np.linalg.svd(np.array(rows))[2][-1]
+            candidates.append(cand if cand[int(np.argmax(np.abs(cand)))] >= 0 else -cand)
+    if any(q.reflected for q in classification.charges):
+        candidates = [n for n in candidates if abs(abs(n[2]) - 1.0) < 1e-8]
+    for n in candidates:
+        w = pauli_combination(n / np.linalg.norm(n))
+        ok = all(np.max(np.abs(m @ w - w @ m)) <= 1e-10 for m in mats)
+        ok &= all(
+            np.max(np.abs(m @ w + w @ m)) <= 1e-10
+            for q in classification.charges
+            for m in (q.kinetic_matrix, q.shift_matrix)
+        )
+        if ok:
+            return w
+    return None
+
+
+def _witten_draws(rng, n):
+    """n seeded systems of each family: (family, spec)."""
+    for _ in range(n):
+        theta, v = rng.uniform(0.0, 2.0 * np.pi), random_unitary_2x2(rng)
+        interval = Geometry.interval(rng.uniform(0.5, 2.0))
+        yield "line", SystemSpec(Geometry.line(), v.conj().T @ robin_matrix(theta) @ v, None)
+        yield "line", SystemSpec(Geometry.line(), v, None)
+        frame = su2_from_euler(0.0, rng.uniform(0.0, 2.0 * np.pi))
+        u = frame.conj().T @ robin_matrix(theta) @ frame
+        yield "matched", SystemSpec(interval, u, robin_matrix(theta))
+        yield "anti-matched", SystemSpec(interval, u, np.diag([-1.0, np.exp(-1j * theta)]))
+        mu = rng.uniform(0.05, np.pi - 0.05)
+        frame = su2_from_euler(mu, rng.uniform(0.0, 2.0 * np.pi))
+        u = frame.conj().T @ robin_matrix(theta) @ frame
+        yield "tilted", SystemSpec(interval, u, robin_matrix(rng.uniform(0.0, 2.0 * np.pi)))
+        # the wall phase whose N1 charge has c = 0: only [W, Dl] rules W out
+        theta_l = 2.0 * np.arctan(np.tan(theta / 2.0) * np.cos(mu))
+        yield "tilted", SystemSpec(interval, u, robin_matrix(theta_l))
+        scalar = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * np.eye(2)
+        yield "scalar", SystemSpec(interval, scalar, -np.eye(2))
+        # Dirichlet slots and the phases e^{+-i theta}, so that ends can match
+        ends = [rng.choice([-1.0, np.exp(1j * theta), np.exp(-1j * theta)]) for _ in range(4)]
+        yield "diagonal", SystemSpec(interval, np.diag(ends[:2]), np.diag(ends[2:]))
+
+
+def test_witten_parity_is_u_axis():
+    """The closed form (U's Pauli axis, sigma3 on a scalar U) agrees with
+    the direction search on seeded line, matched, anti-matched, tilted,
+    scalar-U and diagonal Dirichlet-slot systems, and a grading exists
+    exactly on the N2 ones."""
+    seen = set()
+    for family, spec in _witten_draws(np.random.default_rng(19), 30):
+        degree, charges, notes = classify._degree(spec)
+        shift = charges[0].shift if charges else 0.0
+        cls = SusyClassification(degree, charges, shift, "NotApplicable", notes)
+        got, want = witten_parity_search(spec, cls), _reference_witten(spec, cls)
+        assert (got is None) == (want is None), family
+        assert (got is not None) == (degree == "N2"), family
+        if got is not None:
+            assert np.max(np.abs(got - want)) <= 1e-12, family
+        seen.add((family, degree, any(q.reflected for q in charges)))
+    for want in [
+        ("line", "N2", False),
+        ("matched", "N2", False),
+        ("anti-matched", "N2", False),
+        ("tilted", "N1", False),
+        ("scalar", "N2", True),
+        ("diagonal", "N2", False),
+    ]:
+        assert want in seen, want
 
 
 def test_algebra_on_eigenstates():
@@ -222,7 +324,7 @@ def test_report_shape():
 
 
 def _reference_domain(spec, charge, wf):
-    image = charge.apply(wf)
+    image = apply(charge, wf)
     floor = 1e-12 * (
         (charge.lam * (wf.wavenumber + 1.0) + np.sqrt(charge.shift) + 1.0)
         * np.linalg.norm(wf.coeffs)
@@ -240,11 +342,11 @@ def _reference_algebra(q1, q2, wf):
     cn = np.linalg.norm(wf.coeffs)
     worst = 0.0
     for q in (q1,) if q1 is q2 else (q1, q2):
-        twice = q.apply(q.apply(wf))
+        twice = apply(q, apply(q, wf))
         scale = abs(e) + q.shift or wf.lam**2
         worst = max(worst, float(np.linalg.norm(twice.coeffs - 0.5 * (e + q.shift) * wf.coeffs) / (scale * cn)))
     if q1 is not q2:
-        cross = q1.apply(q2.apply(wf)).coeffs + q2.apply(q1.apply(wf)).coeffs
+        cross = apply(q1, apply(q2, wf)).coeffs + apply(q2, apply(q1, wf)).coeffs
         scale = abs(e) + max(q1.shift, q2.shift) or wf.lam**2
         worst = max(worst, float(np.linalg.norm(cross) / (scale * cn)))
     return worst
@@ -255,7 +357,7 @@ def _reference_pairing(cls, spectrum):
     for level in spectrum.levels:
         for q in cls.charges:
             for st in level.states:
-                img = q.apply(st)
+                img = apply(q, st)
                 inorm = l2_norm(img)
                 if inorm <= 1e-12 * (q.lam * (st.wavenumber + 1.0) + np.sqrt(q.shift) + 1.0):
                     annihilated += 1
