@@ -31,6 +31,7 @@ from .matkit import (
     _PHASE_TOL,
     _TWO_PI,
     _is_diagonal,
+    _is_dirichlet,
     circular_distance,
     conjugate,
     diagonalize_u2,
@@ -173,9 +174,7 @@ def admits_susy_at_point(m) -> tuple[float, np.ndarray] | None:
     a -1 eigenvalue are rejected.
     """
     v, d = diagonalize_u2(np.asarray(m, dtype=complex))
-    if abs(d[1, 1] + 1.0) > _PHASE_TOL:
-        return None
-    if abs(d[0, 0] + 1.0) <= _PHASE_TOL:
+    if not _is_dirichlet(d[1, 1]) or _is_dirichlet(d[0, 0]):
         return None
     return float(np.angle(d[0, 0]) % _TWO_PI), v
 
@@ -239,7 +238,7 @@ def _degree(spec: SystemSpec, allow_reflection: bool = True):
     theta, v_raw = found_u
     theta_l, _ = found_d
     # normalize the wall frame: a -1 in the upper-left slot is swapped down
-    swapped = interval and abs(spec.Dl[1, 1] + 1.0) > _PHASE_TOL
+    swapped = interval and not _is_dirichlet(spec.Dl[1, 1])
     s = 1j * SIGMA1 if swapped else IDENTITY
     mu, nu = euler_angles_of(v_raw @ s.conj().T)
     v = su2_from_euler(mu, nu) @ s

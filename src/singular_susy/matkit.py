@@ -43,7 +43,7 @@ def is_unitary(m, tol: float = 1e-10) -> bool:
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         return False
-    return np.max(np.abs(m.conj().T @ m - IDENTITY)) <= tol
+    return np.abs(m.conj().T @ m - IDENTITY).max() <= tol
 
 
 def conjugate(w, m) -> np.ndarray:
@@ -55,6 +55,11 @@ def conjugate(w, m) -> np.ndarray:
 
 def _is_diagonal(m) -> bool:
     return max(abs(m[0, 1]), abs(m[1, 0])) <= _DIAGONAL_TOL
+
+
+def _is_dirichlet(w):
+    """The package's one snap rule: w is Dirichlet within _PHASE_TOL of -1."""
+    return abs(w + 1.0) <= _PHASE_TOL
 
 
 def circular_distance(x: float, y: float) -> float:
@@ -95,7 +100,7 @@ def euler_angles_of(v) -> tuple[float, float]:
 
 def _phase_fixed(vec: np.ndarray) -> np.ndarray:
     """Rotate a vector's overall phase so its largest entry is real > 0."""
-    i = int(np.argmax(np.abs(vec)))
+    i = int(np.abs(vec).argmax())
     phase = vec[i] / abs(vec[i])
     return vec / phase
 
@@ -103,8 +108,8 @@ def _phase_fixed(vec: np.ndarray) -> np.ndarray:
 def diagonalize_u2(u):
     """Diagonalize a U(2) matrix: returns (V, D) with V @ u @ V^dag = D.
 
-    V is special unitary.  If exactly one eigenvalue sits at -1 (within
-    _PHASE_TOL) it is placed in the lower-right slot; that slot is what the
+    V is special unitary.  If exactly one eigenvalue is Dirichlet
+    (_is_dirichlet) it is placed in the lower-right slot; that slot is what the
     Robin-form boundary matrix diag(e^{i theta}, -1) expects.  Degenerate u
     (eigenvalues within _TOL, a multiple of the identity) returns V = I.
     """
@@ -117,19 +122,18 @@ def diagonalize_u2(u):
     w1 = (tr + disc) / 2.0
     w2 = (tr - disc) / 2.0
     if abs(w1 - w2) <= _TOL:
-        return IDENTITY.copy(), np.diag([w1, w2]).astype(complex)
+        return IDENTITY.copy(), np.array([[w1, 0.0], [0.0, w2]])
     # a lone -1 eigenvalue goes last
-    if abs(w1 + 1.0) <= _PHASE_TOL and abs(w2 + 1.0) > _PHASE_TOL:
+    if _is_dirichlet(w1) and not _is_dirichlet(w2):
         w1, w2 = w2, w1
     vec1 = _eigvec(u, w1)
     vec2 = np.array([-np.conj(vec1[1]), np.conj(vec1[0])])
     # orient the second vector onto its own eigenvalue's phase convention
     vec2 = _phase_fixed(vec2)
-    p = np.column_stack([vec1, vec2])
-    v = p.conj().T
+    v = np.conj([vec1, vec2])
     detv = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
     v = v * np.exp(-0.5j * np.angle(detv))
-    return v, np.diag([w1, w2]).astype(complex)
+    return v, np.array([[w1, 0.0], [0.0, w2]])
 
 
 def _eigvec(u: np.ndarray, w: complex) -> np.ndarray:
@@ -137,7 +141,7 @@ def _eigvec(u: np.ndarray, w: complex) -> np.ndarray:
     m = u - w * IDENTITY
     rows = [m[0], m[1]]
     norms = [np.linalg.norm(r) for r in rows]
-    r = rows[int(np.argmax(norms))]
+    r = rows[0 if norms[0] >= norms[1] else 1]
     if max(norms) < _TOL:
         vec = np.array([1.0, 0.0], dtype=complex)
     else:

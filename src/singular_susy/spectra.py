@@ -15,8 +15,7 @@ subscan for a twin beside a dip's root, is built and its determinants
 taken as one stack of matrices; brackets are refined lowest energy first,
 only until the requested number of levels is certain.  On the line each
 eigenvector of U with eigenvalue e^{i phi} binds one state e^{-kappa x}
-with kappa = tan(phi/2) / L0, read off the same diagonalization the
-classifier uses.
+with kappa = tan(phi/2) / L0, read off the system's boundary split.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryMismatchError, PrecisionLossError
-from .matkit import _PHASE_TOL, _TWO_PI, _phase_fixed, diagonalize_u2
+from .matkit import _phase_fixed
 from .system import (
     SystemSpec,
     WaveFunction,
@@ -35,7 +34,6 @@ from .system import (
     _gram,
     _gram_norms,
     boundary_data,
-    inverse_robin_length,
 )
 
 _ACCEPT = 1e-10  # at a minimum or at E = 0, normalized |det| below this is a rank drop
@@ -389,17 +387,6 @@ def _interval_level(spec: SystemSpec, sector: str, q: float) -> Level | None:
     return Level(states[0].energy, sector, q, len(states), states) if states else None
 
 
-def _binding_rate(w: complex, L0: float) -> float:
-    """Robin rate tan(phi/2) / L0 of a boundary eigenvalue w = e^{i phi} at
-    the origin (conjugate a wall eigenvalue first), or 0.0 when it binds
-    nothing: w within _PHASE_TOL of -1 is Dirichlet, and a rate must
-    exceed 1e-9 / L0."""
-    if abs(w + 1.0) <= _PHASE_TOL:
-        return 0.0
-    q = inverse_robin_length(np.angle(w) % _TWO_PI, L0)
-    return q if q > 1e-9 / L0 else 0.0
-
-
 def _grid(step: float, top: float) -> np.ndarray:
     """Scan samples: 12 geometric ones from 1e-4 step to step / 4, where a
     zero mode's tail bends |det| near q = 0, then spacing step to two steps
@@ -438,15 +425,9 @@ def solve_interval_spectrum(spec: SystemSpec, n_levels: int = 10) -> Spectrum:
         "nullity_method": "scaled-svd",
         "window_exhausted": False,
     }
-    # Integrating by parts, h[psi] = lam^2 (|psi'|^2 - psi(0)* T0 psi(0)
-    # + psi(l)* Tl psi(l)) with T = tan(phi/2) / L0 on each non-Dirichlet
-    # eigenvector, so h >= lam^2 (|psi'|^2 - r |psi(0)|^2 - r |psi(l)|^2) per
-    # component, r the largest binding rate of U and conj(Dl) (0 if none
-    # binds).  That scalar ground solves kappa tanh(kappa l / 2) = r, and
-    # kappa - r = 2 kappa / (e^{kappa l} + 1) <= 2 / (e l): every bound state
-    # lies below kappa = r + 2/l.  The 300/l cap keeps cosh(kappa l) finite.
-    eigenvalues = np.concatenate([np.linalg.eigvals(spec.U), np.conj(np.diag(spec.Dl))])
-    r = max(_binding_rate(w, spec.L0) for w in eigenvalues)
+    # every bound state has kappa < r + 2/l, r the largest binding rate of the
+    # split (README, Numerical notes); the 300/l cap keeps cosh(kappa l) finite
+    r = max(max(binding) for _, _, _, binding, _ in spec.split)
     report["window_capped"] = bool(r + 2.0 / l > 300.0 / l)
     kappa_max = min(r + 2.0 / l, 300.0 / l)
     grid = _grid(min(step, kappa_max / 256.0), kappa_max)
@@ -484,20 +465,14 @@ def solve_line_bound_states(spec: SystemSpec) -> Spectrum:
 
     An eigenvector w of U with eigenvalue e^{i phi} meets the singularity
     condition as w e^{-kappa x} with kappa = tan(phi/2) / L0, so each
-    eigenphase with a positive tangent binds one state.  The eigenphases come
-    from diagonalize_u2, as the classifier's do, so a ground energy and the
-    supercharge shift are read off the same phase.  Which eigenvalues bind
-    is _binding_rate's rule, shared with the interval window; kappas closer
-    than 1e-9 max(1, kappa) form one level.
+    eigenphase with a positive tangent binds one state.  Eigenvectors and
+    rates are the origin's split (SystemSpec.split), which the interval
+    window reads too; kappas closer than 1e-9 max(1, kappa) form one level.
     """
     if spec.geometry.is_interval:
         raise GeometryMismatchError("use solve_interval_spectrum on an interval")
-    v, d = diagonalize_u2(spec.U)
-    found = []
-    for j in range(2):
-        q = _binding_rate(d[j, j], spec.L0)
-        if q > 0.0:
-            found.append((q, np.conj(v[j])))
+    vectors, _, _, binding, _ = spec.split[0]
+    found = [(q, np.conj(v)) for q, v in zip(binding, vectors) if q > 0.0]
     groups = []
     for q, w in sorted(found, key=lambda f: f[0]):
         if groups and abs(q - groups[-1][0]) < 1e-9 * max(1.0, q):

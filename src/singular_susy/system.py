@@ -25,7 +25,7 @@ from .errors import (
     NotUnitaryError,
     ThetaPiError,
 )
-from .matkit import IDENTITY, _TWO_PI, _is_diagonal, is_unitary
+from .matkit import IDENTITY, _TWO_PI, _is_diagonal, _is_dirichlet, diagonalize_u2, is_unitary
 
 SECTORS = ("positive", "zero", "negative")
 
@@ -155,24 +155,47 @@ class SystemSpec:
         # rebuild from the fields, so the cached forms below are never copied
         return (type(self), (self.geometry, self.U, self.Dl, self.lam, self.L0))
 
-    def _ends(self) -> np.ndarray:
-        """U, and then Dl on an interval, stacked."""
-        return np.array([self.U] if self.Dl is None else [self.U, self.Dl])
+    @cached_property
+    def split(self) -> tuple:
+        """Each end's condition split into Dirichlet and Robin parts (Kuchment,
+        Waves Random Media 14 (2004) S107) once per system: U's by one
+        diagonalize_u2, then Dl's from its diagonal, as (vectors, eigenvalues,
+        dirichlet, binding, snapped): M = sum_j eigenvalues[j] v_j^dag v_j over
+        the rows v_j of vectors, dirichlet[j] by matkit's snap rule, binding[j]
+        the kappa = tan(phi/2) / L0 that e^{i phi} (conjugated at the wall)
+        binds, or 0.0 (Dirichlet, or at most 1e-9 / L0), and snapped M with
+        each Dirichlet w != -1 set to exactly -1 by M - (w + 1) v_j^dag v_j."""
+        frame, d = diagonalize_u2(self.U)
+        ends = [(frame, d.diagonal().tolist(), 1.0, self.U)]
+        if self.Dl is not None:  # the wall's outward normal is -x: its phases bind conjugated
+            ends.append((IDENTITY, self.Dl.diagonal().tolist(), -1.0, self.Dl))
+        split = []
+        for vectors, ws, sign, m in ends:
+            dirichlet, binding = [_is_dirichlet(w) for w in ws], []
+            for v, w, dead in zip(vectors, ws, dirichlet):
+                # inverse_robin_length(np.angle(w) % 2 pi, L0) of a Robin part
+                phi = np.arctan2(sign * w.imag, w.real) % _TWO_PI
+                q = 0.0 if dead else np.tan(phi / 2.0) / self.L0
+                binding.append(q if q > 1e-9 / self.L0 else 0.0)
+                if dead and w != -1.0:  # a matrix whose -1 is already exact keeps its bits
+                    m = m - (w + 1.0) * (np.conj(v)[:, None] * v)
+            split.append((vectors, ws, dirichlet, binding, m))
+        return tuple(split)
 
     @cached_property
     def form(self) -> tuple:
         """The boundary form (M - I) Psi + i L0 (M + I) Psi' at each end,
-        M = U and then Dl, as the read-only block stacks
+        M = U and then Dl as snapped by split, as the read-only block stacks
         (M - I, i L0 (M + I)) indexed [end, row, component]; computed once
         per system, on first use."""
-        mats = self._ends()
+        mats = np.array([snapped for *_, snapped in self.split])
         return _frozen(mats - IDENTITY), _frozen(1j * self.L0 * (mats + IDENTITY))
 
     @cached_property
     def form_size(self) -> tuple:
         """form with |.| on every factor, (|M - I|, L0 |M + I|): a size
         reference that never cancels."""
-        mats = self._ends()
+        mats = np.array([snapped for *_, snapped in self.split])
         return _frozen(np.abs(mats - IDENTITY)), _frozen(self.L0 * np.abs(mats + IDENTITY))
 
     @property

@@ -166,8 +166,8 @@ def check_algebra(
 
         images = [st.image(q) for q in charges]
         for q, image in zip(charges, images):
-            half = 0.5 * (e + q.shift)
-            residuals.append(relative(st.image(q, image) - half[:, None, None] * st.coeffs, q.shift))
+            half = 0.5 * (e + q.shift)[:, None, None]
+            residuals.append(relative(st.image(q, image) - half * st.coeffs, q.shift))
         if q1 is not q2:
             cross = st.image(q1, images[1]) + st.image(q2, images[0])
             residuals.append(relative(cross, max(q1.shift, q2.shift)))
@@ -279,8 +279,8 @@ def witten_parity_search(
     the algebra is that frame's sigma3: U's own Pauli axis.  A scalar U
     has no {-1, e^{i theta != pi}} pair, so its charges can only be
     reflected ones, carried through the diagonal half parity, and those
-    need a diagonal W: sigma3.  W counts only if every commutator and
-    anticommutator vanishes numerically.
+    need a diagonal W: sigma3.  Such a W anticommutes with every charge
+    once it commutes with U and Dl, so only the commutators are tested.
     """
     if not classification.charges:
         return None
@@ -288,10 +288,7 @@ def witten_parity_search(
     n = _real_direction(vec) if np.linalg.norm(vec) > 1e-10 else np.array([0.0, 0.0, 1.0])
     w = pauli_combination(n)
     mats = [spec.U] + ([spec.Dl] if spec.geometry.is_interval else [])
-    anti = [m for q in classification.charges for m in (q.kinetic_matrix, q.shift_matrix)]
-    if all(np.max(np.abs(m @ w - w @ m)) <= 1e-10 for m in mats) and all(
-        np.max(np.abs(m @ w + w @ m)) <= 1e-10 for m in anti
-    ):
+    if all(np.max(np.abs(m @ w - w @ m)) <= 1e-10 for m in mats):
         return w
     return None
 

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from singular_susy import IDENTITY, GeometryMismatchError, inverse_robin_length
+from singular_susy import IDENTITY, GeometryMismatchError, diagonalize_u2, inverse_robin_length
 from singular_susy.spectra import _interval_matrix
 from singular_susy.system import (
     _basis_values,
@@ -41,6 +41,26 @@ def robin_length(theta: float, L0: float = 1.0) -> float:
     if t == 0.0:
         return np.inf
     return L0 / np.tan(t / 2.0)
+
+
+def snapped_ends(spec) -> list:
+    """U, and then Dl on an interval, as the boundary form reads them: an
+    eigenvalue w within 1e-9 of -1 (but not exactly -1) is set to -1, in U
+    by subtracting (w + 1) times the projector on its eigenvector from
+    diagonalize_u2, in the diagonal Dl by writing -1 in its slot."""
+    v, d = diagonalize_u2(spec.U)
+    u = spec.U.copy()
+    for j in range(2):
+        w = d[j, j]
+        if abs(w + 1.0) <= 1e-9 and w != -1.0:
+            u = u - (w + 1.0) * np.outer(np.conj(v[j]), v[j])
+    if spec.Dl is None:
+        return [u]
+    dl = spec.Dl.copy()
+    for j in range(2):
+        if abs(dl[j, j] + 1.0) <= 1e-9 and dl[j, j] != -1.0:
+            dl[j, j] = -1.0
+    return [u, dl]
 
 
 def evaluate(wf, x: float) -> np.ndarray:

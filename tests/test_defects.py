@@ -3,7 +3,9 @@ strict xfails beside a passing guard.
 
 The interval solver loses bound states from kappa*l of about 8 on, and
 misses the lowest positive doublet of the crossed Robin pair just past
-L = -1 (ROADMAP, Open defects 1, 3 and 4, and the line-limit recipe).
+L = -1 (ROADMAP, Open defects 1, 3 and 4, and the line-limit recipe).  It
+doubles a level of a scalar Robin origin tilted by rounding (defect 10),
+and the battery fails the right crossed doublet at kappa*l = 16.7.
 Every reference here is independent of the solver: a closed form, the
 scalar oracle, the boundary-form count of tests/oracle.py, or the line's
 own bound states.  A strict xfail that starts passing fails the suite, so
@@ -15,10 +17,18 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from singular_susy import Geometry, SystemSpec, solve_interval_spectrum, solve_line_bound_states
+from singular_susy import (
+    Geometry,
+    SystemSpec,
+    classify_system,
+    run_verification,
+    solve_interval_spectrum,
+    solve_line_bound_states,
+    su2_from_euler,
+)
 
 from families import crossed_robin_interval, matched_robin_interval, reflected_crossed_interval
-from helpers import energies, random_unitary_2x2
+from helpers import energies, random_unitary_2x2, robin_length
 from oracle import count_ground_energy, oracle_decoupled_roots
 
 
@@ -136,3 +146,79 @@ def test_line_limit_at_kappa_l_25():
     """At kappa_min l = 25 the interval's bound states are the line's to
     within e^{-50}; the solver returns none of them, on all 29 systems."""
     _assert_line_limit(25.0, np.inf)
+
+
+def _near_dirichlet_pair(where):
+    """ROADMAP defect 11: eigenvalues e^{i(pi -+ 4e-10)}, both within 1e-9
+    of -1, at the origin (plain, or tilted by su2_from_euler(0.7, 0.3)) or
+    at the wall, against a Dirichlet other end on l = 1."""
+    pair = np.diag(np.exp(1j * (np.pi + np.array([-4e-10, 4e-10]))))
+    if where == "wall":
+        return SystemSpec(Geometry.interval(1.0), -np.eye(2), pair)
+    if where == "tilted":
+        v = su2_from_euler(0.7, 0.3)
+        pair = v.conj().T @ pair @ v
+    return SystemSpec(Geometry.interval(1.0), pair, -np.eye(2))
+
+
+@pytest.mark.parametrize("where", ["plain", "tilted", "wall"])
+def test_near_dirichlet_pair_is_dirichlet(where):
+    """Both eigenvalues of the pair are Dirichlet by the one snap rule, for
+    the classifier and the solver alike: no charge, no Robin part in the
+    split, a kappa window of 2/l, no bound state, and each n^2 pi^2 level a
+    doublet (the boundary form snaps the pair to exactly -1)."""
+    spec = _near_dirichlet_pair(where)
+    assert classify_system(spec).degree == "none"
+    _, _, dirichlet, _, _ = spec.split[1 if where == "wall" else 0]
+    assert all(dirichlet)
+    spectrum = solve_interval_spectrum(spec, n_levels=8)
+    assert spectrum.scan_window[0] == -4.0
+    assert all(lv.energy > 0.0 for lv in spectrum.levels)
+    for n, lv in enumerate(spectrum.levels[:4], start=1):
+        assert lv.multiplicity == 2
+        assert abs(lv.wavenumber - n * np.pi) <= 1e-12 * n * np.pi
+
+
+def _scalar_robin_origin(tilted):
+    """ROADMAP defect 10: U = e^{2i arctan 10} I, exactly or conjugated by
+    su2_from_euler(1.0, 6.0), against Dl = diag(e^{2i arctan(-15)},
+    e^{2i arctan 19}) on l = 1."""
+    u = np.exp(2j * np.arctan(10.0)) * np.eye(2)
+    if tilted:
+        v = su2_from_euler(1.0, 6.0)
+        u = v.conj().T @ u @ v
+    return SystemSpec(Geometry.interval(1.0), u, np.diag(np.exp(2j * np.arctan([-15.0, 19.0]))))
+
+
+@pytest.mark.parametrize("tilted", [False] + _lost(True, defect="ROADMAP defect 10"))
+def test_scalar_robin_origin_levels_are_simple(tilted):
+    """The components decouple: each Robin origin of rate 10 against a wall
+    of rate 15 or -19 gives the scalar oracle's kappas, three simple bound
+    states.  Tilting U by rounding makes the solver double the middle one."""
+    phases = 2.0 * np.arctan([10.0, 10.0]), 2.0 * np.arctan([-15.0, 19.0])
+    kappas = sorted(
+        (q for a, b in zip(*phases) for q in oracle_decoupled_roots(
+            robin_length(a), robin_length(b), 1.0, n_levels=3).kappa),
+        reverse=True,
+    )[:3]
+    levels = solve_interval_spectrum(_scalar_robin_origin(tilted), n_levels=3).levels
+    assert [lv.multiplicity for lv in levels] == [1, 1, 1]
+    for lv, q in zip(levels, kappas):
+        assert lv.sector == "negative"
+        assert abs(lv.wavenumber - q) <= 1e-9 * q
+
+
+@pytest.mark.parametrize("L", [-0.15] + _lost(-0.06, defect="crossed battery at kappa*l = 16.7"))
+def test_crossed_battery_at_large_kappa_l(L):
+    """Crossed Robin on l = 1 has the oracle's negative doublet and then
+    positive doublets, and the battery passes on that right answer at
+    L = -0.15.  At L = -0.06 the spectrum is still right, yet domain
+    preservation (0.053) and degeneracy pairing (1.4e-3) fail it."""
+    spec = crossed_robin_interval(L)
+    orc = oracle_decoupled_roots(0.0, L, 1.0, n_levels=3)
+    levels = solve_interval_spectrum(spec, n_levels=3).levels
+    assert [(lv.sector, lv.multiplicity) for lv in levels] == [("negative", 2)] + [("positive", 2)] * 2
+    for lv, q in zip(levels, orc.kappa[:1] + orc.k):
+        assert abs(lv.wavenumber - q) < 1e-9 * q
+    report = run_verification(spec, n_levels=3)
+    assert report.all_passed, [c.name for c in report.checks if not c.passed]

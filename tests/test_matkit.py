@@ -138,6 +138,13 @@ def test_diagonalize_u2_orders_minus_one_last():
     v, d = diagonalize_u2(w.conj().T @ np.diag([near, -1.0]) @ w)
     assert abs(d[1, 1] + 1.0) < 1e-15
     assert abs(d[0, 0] - near) < 1e-15
+    # one eigenvalue just inside 1e-9 of -1 and one just outside: the inside
+    # one is Dirichlet and is swapped last, plain and tilted
+    pair = np.diag(-np.exp(1j * np.array([3e-9, 5e-10])))
+    for u in (pair, w.conj().T @ pair @ w):
+        v, d = diagonalize_u2(u)
+        assert abs(d[1, 1] + 1.0) <= 1e-9 < abs(d[0, 0] + 1.0)
+        assert np.linalg.norm(v @ u @ v.conj().T - d) < 1e-15
 
 
 def test_diagonalize_rejects_nonunitary():

@@ -34,6 +34,7 @@ from helpers import (
     random_unitary_2x2,
     robin_length,
     secular_matrix,
+    snapped_ends,
     wall_residual,
     wf_inner,
 )
@@ -173,6 +174,7 @@ def _large_kappa_l(build, L, lost=False):
     "build, L",
     [_large_kappa_l(b, L) for b in (crossed_robin_interval, reflected_crossed_interval) for L in (-0.5, -0.2, -0.15)]
     + [_large_kappa_l(crossed_robin_interval, L, lost=True) for L in (-0.1, -0.08, -0.07)]
+    + [_large_kappa_l(crossed_robin_interval, -0.06)]
     + [_large_kappa_l(reflected_crossed_interval, L, lost=True) for L in (-0.1, -0.08, -0.07, -0.06)],
 )
 def test_crossed_doublet_at_large_kappa_l(build, L):
@@ -590,9 +592,9 @@ def test_fewer_levels_are_the_lowest_of_more(rng):
 
 
 def _padded_matmul_build(spec, sector, qs, magnitudes):
-    """The secular stack from zero-padded (q, 2, 4) blocks and matmuls: the
-    reference whose entries, signed zeros included, the broadcast build
-    reproduces."""
+    """The secular stack from zero-padded (q, 2, 4) blocks and matmuls over
+    the snapped boundary matrices (helpers.snapped_ends): the reference whose
+    entries, signed zeros included, the broadcast build reproduces."""
     qs = np.atleast_1d(np.asarray(qs, dtype=float))[:, None]
     ends = np.array([0.0, spec.geometry.l])
     if sector == "zero":
@@ -606,7 +608,7 @@ def _padded_matmul_build(spec, sector, qs, magnitudes):
     m = np.zeros((len(qs), 4, 4), dtype=complex)
     vals = np.zeros((len(qs), 2, 4), dtype=complex)
     ders = np.zeros((len(qs), 2, 4), dtype=complex)
-    for end, (mat, row) in enumerate(((spec.U, 0), (spec.Dl, 2))):
+    for end, (mat, row) in enumerate(zip(snapped_ends(spec), (0, 2))):
         vals[:, 0, :2] = vals[:, 1, 2:] = v[end]
         ders[:, 0, :2] = ders[:, 1, 2:] = d[end]
         if magnitudes:

@@ -34,6 +34,7 @@ from helpers import (
     normalize,
     random_unitary_2x2,
     robin_length,
+    snapped_ends,
     wall_residual,
     wf_inner,
 )
@@ -254,7 +255,8 @@ def test_boundary_form_is_derived_from_the_fields(rng):
     """SystemSpec.form and form_size are derived from U, Dl and L0 and
     cached: dataclasses.replace, pickle and deepcopy rebuild them instead of
     copying them, they are always read-only, and the residuals read from
-    them are bitwise the form written from U and Dl."""
+    them are bitwise the form written from U and Dl with their Dirichlet
+    eigenvalues snapped to -1 (helpers.snapped_ends)."""
     systems = [
         matched_robin_interval(2.0, l=1.3, L0=0.7),
         crossed_robin_interval(-0.7, L0=2.5),
@@ -266,7 +268,7 @@ def test_boundary_form_is_derived_from_the_fields(rng):
     assert all(s.form is s.form and s.form_size is s.form_size for s in systems)
     systems += [replace(spec, U=random_unitary_2x2(rng), L0=0.45) for spec in systems]
     for spec in systems:
-        mats = [spec.U] + ([spec.Dl] if spec.geometry.is_interval else [])
+        mats = snapped_ends(spec)
         for other in (spec, pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
             minus, plus = other.form
             size_minus, size_plus = other.form_size
@@ -280,7 +282,7 @@ def test_boundary_form_is_derived_from_the_fields(rng):
         for _ in range(10):
             wf = random_wf(rng, spec.geometry)
             b = endpoint_data(wf, "origin")
-            assert connection_residual(spec, b) == _form_reference(spec.U, b, spec.L0)
+            assert connection_residual(spec, b) == _form_reference(mats[0], b, spec.L0)
             if spec.geometry.is_interval:
                 b = endpoint_data(wf, "wall")
-                assert wall_residual(spec, b) == _form_reference(spec.Dl, b, spec.L0)
+                assert wall_residual(spec, b) == _form_reference(mats[1], b, spec.L0)
