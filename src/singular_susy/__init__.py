@@ -50,7 +50,6 @@ from .classify import (
     SuperchargeSpec,
     SusyClassification,
     admits_susy_at_point,
-    annihilates,
     classify_system,
     half_parity_system,
 )

@@ -16,7 +16,6 @@ from singular_susy import (
     SIGMA3,
     SystemSpec,
     WaveFunction,
-    annihilates,
     check_algebra,
     check_degeneracy_pairing,
     check_domain_preservation,
@@ -28,7 +27,7 @@ from singular_susy import (
     witten_parity_search,
 )
 
-from helpers import apply, endpoint_data, random_unitary_2x2
+from helpers import annihilates, apply, endpoint_data, random_unitary_2x2
 from families import (
     crossed_robin_interval,
     matched_robin_interval,

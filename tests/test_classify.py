@@ -17,7 +17,6 @@ from singular_susy import (
     ThetaPiError,
     WaveFunction,
     admits_susy_at_point,
-    annihilates,
     classify_system,
     conjugate,
     diagonalize_u2,
@@ -30,7 +29,7 @@ from singular_susy import (
     theta_for_scale,
 )
 
-from helpers import apply, half_parity, point_condition_residual, random_unitary_2x2
+from helpers import annihilates, apply, half_parity, point_condition_residual, random_unitary_2x2
 from families import (
     crossed_robin_interval,
     matched_robin_interval,
@@ -336,3 +335,75 @@ def test_reflected_charge_is_the_half_parity_conjugate(rng):
                 wf = WaveFunction(spec.geometry, sector, k, coeffs, spec.lam)
                 want = half_parity(apply(plain, half_parity(wf)))
                 assert apply(q, wf).coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def _goodness_draws(rng, n):
+    """n seeded systems of each family, each with l, L0 and the Robin
+    length times a scale s in [1e-2, 1e2] and lam in [1e-2, 1e3], kappa l
+    at most 6.5: (family, spec)."""
+    for _ in range(n):
+        s, lam = 10.0 ** rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-2.0, 3.0)
+        kw = dict(l=s * rng.uniform(0.5, 1.0), lam=lam, L0=s)
+        theta = rng.choice([1e-12, 1e-6, -1e-6])
+        yield "matched", matched_robin_interval(rng.uniform(0.2, 2.8), **kw)
+        # the solver's ground is the zero mode E = 0 against |b|^2 ~ theta^2
+        yield "near-neumann", matched_robin_interval(theta)
+        yield "near-neumann-scaled", matched_robin_interval(theta, **kw)
+        yield "crossed", crossed_robin_interval(-s * rng.uniform(0.3, 3.0), **kw)
+        yield "reflected", reflected_crossed_interval(-s * rng.uniform(0.3, 3.0), **kw)
+        yield "simple", simple_charge_interval(rng.uniform(0.05, np.pi - 0.05), rng.uniform(0.0, 6.0), **kw)
+        mu, theta_u = rng.uniform(0.05, np.pi - 0.05), rng.uniform(0.2, 2.8)
+        frame = su2_from_euler(mu, rng.uniform(0.0, 2.0 * np.pi))
+        u = frame.conj().T @ robin_matrix(theta_u) @ frame
+        interval = Geometry.interval(kw["l"])
+        yield "tilted", SystemSpec(interval, u, robin_matrix(rng.uniform(0.2, 2.8)), lam, s)
+        # the wall phase whose N1 charge has c = 0
+        theta_l = 2.0 * np.arctan(np.tan(theta_u / 2.0) * np.cos(mu))
+        yield "tilted", SystemSpec(interval, u, robin_matrix(theta_l), lam, s)
+        yield "line", robin_line(rng.uniform(0.05, 3.0), lam=lam, L0=s)
+        v = random_unitary_2x2(rng)
+        yield "line", SystemSpec(Geometry.line(), v.conj().T @ robin_matrix(rng.uniform(0.05, 3.0)) @ v, None, lam, s)
+        yield "haar-line", SystemSpec(Geometry.line(), v, None, lam, s)
+    # past kappa l = 11 the crossed doublet lies within 4 e^{-2 kappa l} < 1e-9
+    # of the bound, so only its multiplicity keeps it Broken
+    for L in (-0.065, -0.06):
+        yield "crossed-doublet", crossed_robin_interval(L)
+
+
+def test_goodness_is_ground_annihilation():
+    """Good, read from the ground energy against the bound -|b|^2, agrees
+    with its definition: the ground level is simple and every charge
+    annihilates each of its states (helpers.annihilates).  Matched Robin
+    near Neumann away from unit scale is compared with its closed form
+    instead (Good: the ground e^{-kappa x} sits on the bound for every
+    theta), since there the solver's zero-mode ground is annihilated only
+    to O(kappa) and the reference's 1e-10 test is not scale-free."""
+    seen = set()
+    for family, spec in _goodness_draws(np.random.default_rng(25), 25):
+        spectrum = solve_spectrum(spec, n_levels=1)
+        cls = classify_system(spec, spectrum)
+        ground = spectrum.ground
+        if family == "near-neumann-scaled":
+            want = "Good"
+        elif not cls.charges or ground is None:
+            want = "NotApplicable"
+        elif ground.multiplicity == 1 and all(
+            annihilates(q, st) for q in cls.charges for st in ground.states
+        ):
+            want = "Good"
+        else:
+            want = "Broken"
+        assert cls.goodness == want, (family, spec)
+        seen.add((family, want))
+    for want in [
+        ("matched", "Good"),
+        ("near-neumann", "Good"),
+        ("crossed", "Broken"),
+        ("reflected", "Broken"),
+        ("simple", "Broken"),
+        ("tilted", "Broken"),
+        ("line", "Good"),
+        ("haar-line", "NotApplicable"),
+        ("crossed-doublet", "Broken"),
+    ]:
+        assert want in seen, want

@@ -151,6 +151,17 @@ def test_classify_json_matches_golden(name, capsys):
     assert capsys.readouterr().out == (GOLDEN / (name + ".classify.json")).read_text()
 
 
+@pytest.mark.parametrize(
+    "name", sorted(p.name[: -len(".config.json")] for p in GOLDEN.glob("*.config.json"))
+)
+def test_verify_json_matches_golden(name, capsys):
+    """verify output of every golden config, byte for byte: the check list,
+    each residual and tolerance, and exit code 0."""
+    rc = cli.main(["verify", "--config", str(GOLDEN / (name + ".config.json"))])
+    assert rc == 0
+    assert capsys.readouterr().out == (GOLDEN / (name + ".verify.json")).read_text()
+
+
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_output_matches_golden(name, capsys):
     """spectrum, scan and half-parity output, byte for byte: the matched

@@ -18,6 +18,7 @@ from singular_susy import (
     WaveFunction,
     half_parity_system,
     robin_matrix,
+    run_verification,
     solve_interval_spectrum,
     solve_line_bound_states,
     su2_from_euler,
@@ -320,42 +321,51 @@ def test_secular_matrix_encodes_both_boundary_forms(rng):
         assert np.all(err <= 1e-12 * np.concatenate(sizes)), (sector, q * l)
 
 
+def _scaled_families(s, c):
+    """One system of each family with l, L0 and the Robin length L times s
+    and lam times c, so that E -> E c^2 / s^2 against s = c = 1."""
+    kw = dict(l=s, L0=s, lam=c)
+    return [matched_robin_interval(th, **kw) for th in (np.pi / 4, 2.0, 2.5)] + [
+        crossed_robin_interval(-0.5 * s, **kw),
+        reflected_crossed_interval(-0.5 * s, **kw),
+        simple_charge_interval(np.pi / 3, **kw),
+        robin_line(np.pi / 2, lam=c, L0=s),
+    ]
+
+
+def _verdicts(spec):
+    """Degree, goodness, the battery's verdict at n_levels = 3 and the
+    lower-bound label (attained or strict), none of which may depend on scale."""
+    report = run_verification(spec, n_levels=3)
+    degree, goodness = report.checks[0].details.split()[:2]
+    labels = [c.details.rsplit("(", 1)[1][:-1] for c in report.checks if c.name == "lower bound"]
+    return degree, goodness, report.all_passed, labels
+
+
 def test_scale_covariance():
-    """l, L0 and the Robin length L -> s l, s L0, s L: E -> E / s^2, with the
-    same sectors and multiplicities."""
-    for s in (0.37, 2.9):
-        pairs = [
-            (matched_robin_interval(th), matched_robin_interval(th, l=s, L0=s))
-            for th in (np.pi / 4, 2.5)
-        ] + [
-            (crossed_robin_interval(-0.5), crossed_robin_interval(-0.5 * s, l=s, L0=s)),
-            (
-                reflected_crossed_interval(-0.5),
-                reflected_crossed_interval(-0.5 * s, l=s, L0=s),
-            ),
-            (
-                simple_charge_interval(np.pi / 3),
-                simple_charge_interval(np.pi / 3, l=s, L0=s),
-            ),
-        ]
-        solved = [
-            (solve_interval_spectrum(a, n_levels=6), solve_interval_spectrum(b, n_levels=6))
-            for a, b in pairs
-        ]
-        solved.append(
-            (
-                solve_line_bound_states(robin_line(np.pi / 2)),
-                solve_line_bound_states(robin_line(np.pi / 2, L0=s)),
-            )
-        )
-        for base, scaled in solved:
-            assert base.levels
-            assert [(lv.sector, lv.multiplicity) for lv in scaled.levels] == [
-                (lv.sector, lv.multiplicity) for lv in base.levels
+    """l, L0 and the Robin length L -> s l, s L0, s L and lam -> c lam:
+    E -> E c^2 / s^2, with the same sectors and multiplicities.  At decades
+    of scale (s in {1e-2, 1e2}, c in {1e-2, 1e3}) three levels are compared,
+    and the degree, goodness, verification verdict and lower-bound label
+    must not change either."""
+    bases = _scaled_families(1.0, 1.0)
+    want = {n: [spectra.solve_spectrum(x, n_levels=n) for x in bases] for n in (3, 6)}
+    verdicts = [_verdicts(x) for x in bases]
+    cases = [(0.37, 1.0, 6), (2.9, 1.0, 6)] + [
+        (s, c, 3) for s in (1e-2, 1e2) for c in (1e-2, 1e3)
+    ]
+    for s, c, n in cases:
+        for i, scaled in enumerate(_scaled_families(s, c)):
+            a, b = want[n][i], spectra.solve_spectrum(scaled, n_levels=n)
+            assert a.levels
+            assert [(lv.sector, lv.multiplicity) for lv in b.levels] == [
+                (lv.sector, lv.multiplicity) for lv in a.levels
             ]
             np.testing.assert_allclose(
-                np.array(energies(scaled)) * s**2, energies(base), rtol=1e-9, atol=0.0
+                np.array(energies(b)) * s**2 / c**2, energies(a), rtol=1e-9, atol=0.0
             )
+            if n == 3:
+                assert _verdicts(scaled) == verdicts[i], (s, c, scaled)
 
 
 def test_geometry_dispatch():

@@ -55,7 +55,6 @@ PUBLIC = {
     "SuperchargeSpec",
     "SusyClassification",
     "admits_susy_at_point",
-    "annihilates",
     "classify_system",
     "half_parity_system",
     # verify

@@ -13,7 +13,6 @@ from singular_susy import (
     SusyClassification,
     SystemSpec,
     WaveFunction,
-    annihilates,
     check_algebra,
     check_degeneracy_pairing,
     check_domain_preservation,
@@ -35,6 +34,7 @@ from singular_susy import classify, spectra
 from singular_susy.matkit import _phase_fixed
 
 from helpers import (
+    annihilates,
     apply,
     connection_residual,
     endpoint_data,
@@ -254,6 +254,13 @@ def test_lower_bound_attained_vs_strict():
     res = check_lower_bound(spec, cls, solve_interval_spectrum(spec, n_levels=3))
     assert res.passed and "strict" in res.details
     assert cls.shift == pytest.approx(4.0)
+
+    # the bound test is scale-free: |b|^2 = 1.7e7 here, and the ground sits
+    # 7.45e-9 below it in absolute terms, 4.4e-16 relative
+    spec = matched_robin_interval(np.pi / 4, l=0.1, lam=1000.0, L0=0.1)
+    report = run_verification(spec, n_levels=3)
+    res = next(c for c in report.checks if c.name == "lower bound")
+    assert report.all_passed and res.passed and "attained" in res.details
 
 
 def test_degeneracy_pairing_families():
