@@ -43,13 +43,14 @@ from .matkit import (
 from . import spectra
 from .system import (
     SystemSpec,
+    WaveFunction,
     _frozen,
     derivative_rep,
     half_parity_coeffs,
     inverse_robin_length,
 )
 
-_BOUND_TOL = 1e-9
+_ANNIHILATE_TOL = 1e-10
 _SQRT2 = np.sqrt(2.0)
 
 DEGREES = ("none", "N1", "N2")
@@ -178,26 +179,29 @@ def admits_susy_at_point(m) -> tuple[float, np.ndarray] | None:
     return float(np.angle(d[0, 0]) % _TWO_PI), v
 
 
-def _bound_gap(spec: SystemSpec, e0: float, shift: float) -> float:
-    """(E0 + |b|^2) over max(|E0|, |b|^2, lam^2/ell^2), ell = l on the
-    interval and L0 on the line: how far the ground sits above the bound
-    -|b|^2 that 2Q^2 = H + |b|^2 >= 0 sets, in units that scale with the
-    system.  The lam^2/ell^2 floor keeps a zero ground with a vanishing
-    shift at the bound.  The ground is at the bound when |gap| <= _BOUND_TOL."""
-    ell = spec.l if spec.geometry.is_interval else spec.L0
-    return (e0 + shift) / max(abs(e0), shift, (spec.lam / ell) ** 2)
+def _annihilates(charge: SuperchargeSpec, wf: WaveFunction) -> bool:
+    """Whether the charge's image of wf vanishes, to _ANNIHILATE_TOL
+    relative to the charge's size on wf."""
+    image = charge.apply_coeffs(wf.geometry, wf.sector, wf.wavenumber, wf.coeffs)
+    scale = (
+        charge.lam * (wf.wavenumber + 1.0) + np.sqrt(charge.shift)
+    ) * np.linalg.norm(wf.coeffs)
+    return float(np.linalg.norm(image)) <= _ANNIHILATE_TOL * max(scale, 1e-300)
 
 
-def _goodness(spec: SystemSpec, shift: float, spectrum: spectra.Spectrum | None) -> str:
-    """Good iff the ground level is simple and sits at the bound -|b|^2;
-    since 2Q^2 = H + |b|^2, that is every charge annihilating it.  Only the
-    ground level is read, so without a spectrum one level is solved."""
+def _goodness(
+    spec: SystemSpec, charges: tuple, spectrum: spectra.Spectrum | None
+) -> str:
+    """Good iff the ground level is simple and every charge annihilates it;
+    only the ground level is read, so without a spectrum one level is solved."""
     if spectrum is None:
         spectrum = spectra.solve_spectrum(spec, n_levels=1)
     ground = spectrum.ground
     if ground is None:
         return "NotApplicable"
-    if ground.multiplicity == 1 and abs(_bound_gap(spec, ground.energy, shift)) <= _BOUND_TOL:
+    if ground.multiplicity == 1 and all(
+        _annihilates(q, st) for q in charges for st in ground.states
+    ):
         return "Good"
     return "Broken"
 
@@ -266,8 +270,9 @@ def classify_system(
     degree, charges, notes = _degree(spec)
     if degree == "none":
         return SusyClassification("none", (), 0.0, "NotApplicable", notes)
-    shift = charges[0].shift
-    return SusyClassification(degree, charges, shift, _goodness(spec, shift, spectrum), notes)
+    return SusyClassification(
+        degree, charges, charges[0].shift, _goodness(spec, charges, spectrum), notes
+    )
 
 
 def half_parity_system(spec: SystemSpec) -> SystemSpec:

@@ -18,8 +18,6 @@ import numpy as np
 from .classify import (
     SuperchargeSpec,
     SusyClassification,
-    _BOUND_TOL,
-    _bound_gap,
     classify_system,
 )
 from .matkit import _phase_fixed, pauli_combination, pauli_vector
@@ -36,6 +34,7 @@ from .system import (
 
 _ALGEBRA_TOL = 1e-10
 _FORM_TOL = 1e-10
+_LOWER_BOUND_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -252,17 +251,21 @@ def check_lower_bound(
     spectrum: spectra.Spectrum,
 ) -> CheckResult:
     """2Q^2 = H + |b|^2 >= 0 bounds every level by -|b|^2; a ground state
-    attaining the bound is the annihilated one.  The residual is how far
-    the ground falls below the bound, on the scale of classify._bound_gap."""
-    tol = _BOUND_TOL
+    attaining the bound is the annihilated one.  The ground's distance
+    E0 + |b|^2 from the bound is read relative to max(|E0|, |b|^2,
+    lam^2/ell^2), ell = l on the interval and L0 on the line, so the check
+    is scale-free; the lam^2/ell^2 floor keeps a zero ground against a
+    vanishing |b|^2 at the bound.  The residual is how far it falls below."""
+    tol = _LOWER_BOUND_TOL
     if not spectrum.levels:
         return CheckResult("lower bound", True, 0.0, tol, "no discrete levels")
-    bound = -classification.shift
+    shift = classification.shift
     e0 = spectrum.levels[0].energy
-    gap = _bound_gap(spec, e0, classification.shift)
+    ell = spec.l if spec.geometry.is_interval else spec.L0
+    gap = (e0 + shift) / max(abs(e0), shift, (spec.lam / ell) ** 2)
     residual = max(0.0, -gap)
     kind = "attained" if abs(gap) <= tol else "strict"
-    details = "ground %.12g vs bound %.12g (%s)" % (e0, bound, kind)
+    details = "ground %.12g vs bound %.12g (%s)" % (e0, -shift, kind)
     return CheckResult("lower bound", residual <= tol, residual, tol, details)
 
 

@@ -1,7 +1,7 @@
 """Test-only helpers: random draws, pointwise evaluation, per-state
 boundary values and residuals, inner products, half parity and charge
-images, the annihilation test, level energies, and closed-form residuals
-that no module of the package needs.
+images, level energies, and closed-form residuals that no module of the
+package needs.
 
 They are written over the package's own basis and boundary-form
 primitives, so a test built on them checks the same conventions the
@@ -136,17 +136,6 @@ def apply(charge, wf):
     return replace(
         wf, coeffs=charge.apply_coeffs(wf.geometry, wf.sector, wf.wavenumber, wf.coeffs)
     )
-
-
-def annihilates(charge, wf) -> bool:
-    """Whether the charge's image of wf vanishes, to 1e-10 relative to the
-    charge's size on wf: the goodness rule the classifier used before it
-    read the ground energy against the bound, kept as a reference."""
-    image = charge.apply_coeffs(wf.geometry, wf.sector, wf.wavenumber, wf.coeffs)
-    scale = (
-        charge.lam * (wf.wavenumber + 1.0) + np.sqrt(charge.shift)
-    ) * np.linalg.norm(wf.coeffs)
-    return float(np.linalg.norm(image)) <= 1e-10 * max(scale, 1e-300)
 
 
 def energies(spectrum) -> list:

@@ -5,9 +5,7 @@ The interval solver loses bound states from kappa*l of about 8 on, and
 misses the lowest positive doublet of the crossed Robin pair just past
 L = -1 (ROADMAP, Open defects 1, 3 and 4, and the line-limit recipe).  It
 doubles a level of a scalar Robin origin tilted by rounding (defect 10),
-returns the crossed doublet past kappa*l = 11 as a simple level that then
-reads Good (defect 9), and the battery fails the right crossed doublet at
-kappa*l = 16.7.
+and the battery fails the right crossed doublet at kappa*l = 16.7.
 Every reference here is independent of the solver: a closed form, the
 scalar oracle, the boundary-form count of tests/oracle.py, or the line's
 own bound states.  A strict xfail that starts passing fails the suite, so
@@ -224,15 +222,3 @@ def test_crossed_battery_at_large_kappa_l(L):
         assert abs(lv.wavenumber - q) < 1e-9 * q
     report = run_verification(spec, n_levels=3)
     assert report.all_passed, [c.name for c in report.checks if not c.passed]
-
-
-@pytest.mark.parametrize(
-    "L", [-0.065] + _lost(-0.08, defect="ROADMAP defect 9: the doublet comes back simple")
-)
-def test_crossed_goodness_at_large_kappa_l(L):
-    """Crossed Robin on l = 1 is Broken N2 for every L < 0: its ground is a
-    doublet just above the bound.  Past kappa*l = 11 the doublet lies within
-    4 e^{-2 kappa l} < 1e-9 of the bound, relative, so only its multiplicity
-    keeps it Broken; at L = -0.08 the solver returns it as one simple level
-    (defect 9) and the system reads Good."""
-    assert classify_system(crossed_robin_interval(L)).goodness == "Broken"
