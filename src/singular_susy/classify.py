@@ -19,6 +19,7 @@ reflection in.  classify_system builds every classification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -43,7 +44,6 @@ from .matkit import (
 from . import spectra
 from .system import (
     SystemSpec,
-    WaveFunction,
     _frozen,
     derivative_rep,
     half_parity_coeffs,
@@ -93,8 +93,8 @@ class SuperchargeSpec:
         v = IDENTITY.copy() if self.conjugator is None else np.array(self.conjugator, dtype=complex)
         if not is_unitary(v, 1e-9):
             raise ValueError("conjugator must be unitary")
-        det = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
-        if abs(det - 1.0) > 1e-9:
+        (a, b), (c, d) = v.tolist()
+        if not abs(a * d - b * c - 1.0) <= 1e-9:
             raise ValueError("conjugator must be special unitary")
         v.setflags(write=False)
         object.__setattr__(self, "conjugator", v)
@@ -179,31 +179,49 @@ def admits_susy_at_point(m) -> tuple[float, np.ndarray] | None:
     return float(np.angle(d[0, 0]) % _TWO_PI), v
 
 
-def _annihilates(charge: SuperchargeSpec, wf: WaveFunction) -> bool:
-    """Whether the charge's image of wf vanishes, to _ANNIHILATE_TOL
-    relative to the charge's size on wf."""
-    image = charge.apply_coeffs(wf.geometry, wf.sector, wf.wavenumber, wf.coeffs)
-    scale = (
-        charge.lam * (wf.wavenumber + 1.0) + np.sqrt(charge.shift)
-    ) * np.linalg.norm(wf.coeffs)
-    return float(np.linalg.norm(image)) <= _ANNIHILATE_TOL * max(scale, 1e-300)
-
-
 def _goodness(
     spec: SystemSpec, charges: tuple, spectrum: spectra.Spectrum | None
 ) -> str:
     """Good iff the ground level is simple and every charge annihilates it;
-    only the ground level is read, so without a spectrum one level is solved."""
+    only the ground level is read, so without a spectrum one level is solved.
+
+    A charge annihilates the ground's coefficients C when its image has
+    norm at most _ANNIHILATE_TOL (lam (q + 1) + |b|) |C|.  The charges share
+    the conjugator V, whose V^dag keeps norms, so the image is taken in V's
+    frame on Python scalars, (-i lam (a . sigma) Y + (b . sigma) X) / sqrt 2
+    from X = V C and Y = V C D^T (D = derivative_rep); a reflected charge's
+    image goes back through V^dag to meet the half parity."""
     if spectrum is None:
         spectrum = spectra.solve_spectrum(spec, n_levels=1)
     ground = spectrum.ground
     if ground is None:
         return "NotApplicable"
-    if ground.multiplicity == 1 and all(
-        _annihilates(q, st) for q in charges for st in ground.states
-    ):
-        return "Good"
-    return "Broken"
+    if ground.multiplicity != 1:
+        return "Broken"
+    (state,) = ground.states
+    geometry, sector, q = state.geometry, state.sector, state.wavenumber
+    v, reflected = charges[0].conjugator, charges[0].reflected
+    size = math.hypot(*map(abs, state.coeffs.ravel().tolist()))
+    coeffs = half_parity_coeffs(geometry, sector, q, state.coeffs) if reflected else state.coeffs
+    x = v @ coeffs
+    (x0, x1), (y0, y1) = x.tolist(), (x @ derivative_rep(geometry, sector, q).T).tolist()
+    for charge in charges:
+        lam, c = charge.lam, charge.c
+        g = lam * inverse_robin_length(charge.theta, charge.L0)
+        e = complex(math.cos(charge.alpha), math.sin(charge.alpha))
+        # a . sigma = [[0, e*], [e, 0]] and b . sigma = [[c, i g e*], [-i g e, -c]]
+        image = [
+            [c * p + 1j * e.conjugate() * (g * r - lam * dr) for p, r, dr in zip(x0, x1, y1)],
+            [-c * r - 1j * e * (lam * dp + g * p) for p, r, dp in zip(x0, x1, y0)],
+        ]
+        if reflected:
+            back = half_parity_coeffs(geometry, sector, q, v.conj().T @ np.array(image))
+            image = back.tolist()
+        norm = math.hypot(*(abs(z) for row in image for z in row)) / _SQRT2
+        scale = (lam * (q + 1.0) + math.sqrt(charge.shift)) * size
+        if not norm <= _ANNIHILATE_TOL * max(scale, 1e-300):
+            return "Broken"
+    return "Good"
 
 
 def _degree(spec: SystemSpec, allow_reflection: bool = True):

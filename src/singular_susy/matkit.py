@@ -40,10 +40,18 @@ def pauli_vector(m) -> np.ndarray:
 
 
 def is_unitary(m, tol: float = 1e-10) -> bool:
+    """Whether every entry of m^dag m - I is within tol, on Python scalars;
+    False for a NaN or infinite entry and for any shape but (2, 2)."""
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         return False
-    return np.abs(m.conj().T @ m - IDENTITY).max() <= tol
+    (a, b), (c, d) = m.tolist()
+    # (m^dag m)[1, 0] is the conjugate of [0, 1]; no max(), which can drop a NaN
+    return (
+        abs(a.conjugate() * a + c.conjugate() * c - 1.0) <= tol
+        and abs(a.conjugate() * b + c.conjugate() * d) <= tol
+        and abs(b.conjugate() * b + d.conjugate() * d - 1.0) <= tol
+    )
 
 
 def conjugate(w, m) -> np.ndarray:
@@ -138,11 +146,14 @@ def diagonalize_u2(u):
 
 def _eigvec(u: np.ndarray, w: complex) -> np.ndarray:
     """Unit eigenvector of u for eigenvalue w, phase-fixed."""
-    m = u - w * IDENTITY
-    rows = [m[0], m[1]]
-    norms = [np.linalg.norm(r) for r in rows]
-    r = rows[0 if norms[0] >= norms[1] else 1]
-    if max(norms) < _TOL:
+    rows = (u - w * IDENTITY).tolist()
+    # the row of larger norm, by squared norms summed as np.linalg.norm sums them
+    sq = [
+        (x.real * x.real + y.real * y.real) + (x.imag * x.imag + y.imag * y.imag)
+        for x, y in rows
+    ]
+    r = rows[0 if sq[0] >= sq[1] else 1]
+    if max(sq) < _TOL**2:
         vec = np.array([1.0, 0.0], dtype=complex)
     else:
         vec = np.array([-r[1], r[0]], dtype=complex)

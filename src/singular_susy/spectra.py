@@ -350,13 +350,13 @@ def _states(spec: SystemSpec, sector: str, q: float, coeffs: np.ndarray) -> tupl
     where a remainder of norm 1e-8 or less is dependent and dropped, and
     each kept state is phase-fixed before the next is projected against it."""
     geometry = spec.geometry
-    ends = [(0, 0.0), (1, geometry.l)] if geometry.is_interval else []
-    ok = np.ones(len(coeffs), dtype=bool)
-    for end, x in ends:
-        psi, dpsi = boundary_data(geometry, sector, q, coeffs, x)
-        ok &= ~(_form_residual(spec, end, psi, dpsi) > 1e-8)
+    if geometry.is_interval:
+        ok = np.ones(len(coeffs), dtype=bool)
+        for end, x in ((0, 0.0), (1, geometry.l)):
+            psi, dpsi = boundary_data(geometry, sector, q, coeffs, x)
+            ok &= ~(_form_residual(spec, end, psi, dpsi) > 1e-8)
+        coeffs = coeffs[ok]
     gram = _gram(geometry, sector, q)
-    coeffs = coeffs[ok]
     n = _gram_norms(coeffs, gram)
     if np.any(n < 1e-150):  # the Gram form cancelled to the zero wavefunction
         where = "kappa*l = %.6g" % (q * geometry.l) if geometry.is_interval else "kappa = %.6g" % q

@@ -26,9 +26,8 @@ from singular_susy import (
     susy_boundary_form,
     witten_parity_search,
 )
-from singular_susy.classify import _annihilates as annihilates
 
-from helpers import apply, endpoint_data, random_unitary_2x2
+from helpers import annihilates, apply, endpoint_data, random_unitary_2x2
 from families import (
     crossed_robin_interval,
     matched_robin_interval,

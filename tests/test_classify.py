@@ -11,6 +11,7 @@ from singular_susy import (
     Geometry,
     GeometryMismatchError,
     NotDiagonalError,
+    SIGMA1,
     SIGMA3,
     SuperchargeSpec,
     SystemSpec,
@@ -29,9 +30,8 @@ from singular_susy import (
     su2_from_euler,
     theta_for_scale,
 )
-from singular_susy.classify import _annihilates as annihilates
 
-from helpers import apply, half_parity, point_condition_residual, random_unitary_2x2
+from helpers import annihilates, apply, half_parity, point_condition_residual, random_unitary_2x2
 from families import (
     crossed_robin_interval,
     matched_robin_interval,
@@ -58,6 +58,17 @@ def test_build_supercharge_validation():
     assert abs(q.shift - (np.tan(0.4) ** 2 + 1.5**2)) < 1e-12
     with pytest.raises(ThetaPiError):
         SuperchargeSpec(0.0, 0.0, np.pi, 1.0, 1.0)
+    with pytest.raises(ValueError, match="special unitary"):  # unitary, determinant -1
+        SuperchargeSpec(0.0, 0.0, 0.8, 1.0, 1.0, SIGMA1)
+
+
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_supercharge_rejects_a_nonfinite_conjugator(where):
+    for bad in (np.nan, np.inf):
+        v = su2_from_euler(0.4, 1.3)
+        v[where] = bad
+        with pytest.raises(ValueError, match="conjugator"):
+            SuperchargeSpec(0.0, 0.0, 0.8, 1.0, 1.0, v)
 
 
 def test_charge_vectors_orthonormal():
@@ -419,3 +430,45 @@ def test_goodness_against_the_bound():
         ("crossed-doublet", "Broken"),
     ]:
         assert want in seen, want
+
+
+def _reference_goodness(cls, spectrum) -> str:
+    """The per-state rule: Good iff the ground level is simple and every
+    charge annihilates its state, applied through apply_coeffs."""
+    ground = spectrum.ground
+    if not cls.charges or ground is None:
+        return "NotApplicable"
+    if ground.multiplicity == 1 and all(annihilates(q, st) for q in cls.charges for st in ground.states):
+        return "Good"
+    return "Broken"
+
+
+def _line_draws(rng, n):
+    """n tilted lines, U = V^dag diag(e^{i theta}, -1) V with a Haar V,
+    theta over (0, 2 pi) and lam, L0 over 1e-2 to 1e2; then the plain
+    Robin line on a theta grid over (0, 2 pi) that steps over pi."""
+    for _ in range(n):
+        v = random_unitary_2x2(rng)
+        u = v.conj().T @ robin_matrix(rng.uniform(0.01, 2.0 * np.pi - 0.01)) @ v
+        lam, L0 = 10.0 ** rng.uniform(-2.0, 2.0, 2)
+        yield "tilted-line", SystemSpec(Geometry.line(), u, None, lam, L0)
+    for j in range(100):
+        yield "robin-line", robin_line((j + 0.5) * np.pi / 50.0)
+
+
+def test_goodness_matches_the_per_state_rule():
+    """classify_system decides goodness in the charges' frame on Python
+    scalars; the per-state rule of tests/helpers.py applies each charge
+    to the ground state in the system frame.  Both read the same tolerance
+    on the same scale, and agree on the goodness draws (crossed doublets
+    past kappa l = 11 and the near-Neumann draws at scale among them) and
+    on tilted and plain Robin lines on both sides of theta = pi."""
+    draws = list(_goodness_draws(np.random.default_rng(25), 25))
+    draws += list(_line_draws(np.random.default_rng(26), 200))
+    seen = set()
+    for family, spec in draws:
+        spectrum = solve_spectrum(spec, n_levels=1)
+        cls = classify_system(spec, spectrum)
+        assert cls.goodness == _reference_goodness(cls, spectrum), (family, spec)
+        seen.add(cls.goodness)
+    assert seen == {"Good", "Broken", "NotApplicable"}

@@ -44,6 +44,9 @@ CLI_CASES = {
     "line-tilted.spectrum.json": ["spectrum", "--format", "json"],
     "line-tilted.scan-L.csv": ["scan", "--scan", "L:-1:1:5", "--format", "csv"],
     "line-tilted.scan-L.json": ["scan", "--scan", "L:-1:1:5", "--format", "json"],
+    # theta runs past pi, where the line has no bound state (NotApplicable rows)
+    "line-tilted.scan-theta.csv": ["scan", "--scan", "theta:0.2:4.2:9", "--format", "csv"],
+    "line-tilted.scan-mu.csv": ["scan", "--scan", "mu:0:3:7", "--format", "csv"],
 }
 
 

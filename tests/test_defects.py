@@ -1,11 +1,14 @@
-"""Known large-kappa*l defects of the interval solver, each registered as
+"""Known defects of the solver, the classifier and the battery, each registered as
 strict xfails beside a passing guard.
 
 The interval solver loses bound states from kappa*l of about 8 on, and
 misses the lowest positive doublet of the crossed Robin pair just past
 L = -1 (ROADMAP, Open defects 1, 3 and 4, and the line-limit recipe).  It
 doubles a level of a scalar Robin origin tilted by rounding (defect 10),
-and the battery fails the right crossed doublet at kappa*l = 16.7.
+and the battery fails the right crossed doublet at kappa*l = 16.7.  Near
+theta = 0 the charge's rate loses digits below 0 (defect 13), scaled
+matched Robin reads Broken (defect 14), and the battery fails a right N2
+Good answer (defect 15).
 Every reference here is independent of the solver: a closed form, the
 scalar oracle, the boundary-form count of tests/oracle.py, or the line's
 own bound states.  A strict xfail that starts passing fails the suite, so
@@ -221,4 +224,36 @@ def test_crossed_battery_at_large_kappa_l(L):
     for lv, q in zip(levels, orc.kappa[:1] + orc.k):
         assert abs(lv.wavenumber - q) < 1e-9 * q
     report = run_verification(spec, n_levels=3)
+    assert report.all_passed, [c.name for c in report.checks if not c.passed]
+
+
+@pytest.mark.parametrize("theta", [1e-6] + _lost(-1e-6, defect="ROADMAP defect 13"))
+def test_matched_shift_keeps_the_rate_digits(theta):
+    """The shift |b|^2 of matched Robin is tan^2(theta/2) / L0^2 with theta
+    as given.  The charge reduces theta % 2 pi first, which costs
+    ulp(2 pi) / |theta| relative for a small negative theta: 7.7e-10 at
+    theta = -1e-6."""
+    want = np.tan(theta / 2.0) ** 2
+    shift = classify_system(matched_robin_interval(theta)).shift
+    assert abs(shift - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("scale", [1.0] + _lost(0.01, defect="ROADMAP defect 14"))
+@pytest.mark.parametrize("theta", [1e-6, -1e-6])
+def test_near_neumann_goodness_is_scale_free(theta, scale):
+    """Matched Robin near Neumann is Good at every scale: l, lam and L0
+    times 0.01 leave the spectrum and |b|^2 as they are.  The annihilation
+    test's size lam (q + 1) + |b| is not in units of 1/l, so the scaled
+    twin reads Broken."""
+    spec = matched_robin_interval(theta, l=scale, lam=scale, L0=scale)
+    assert classify_system(spec).goodness == "Good"
+
+
+@pytest.mark.parametrize("theta", [1e-12] + _lost(1e-6, defect="ROADMAP defect 15"))
+def test_near_neumann_battery_passes(theta):
+    """Matched Robin near Neumann is rightly N2 Good, and its battery passes
+    at theta = 1e-12.  At 1e-6 the solver's ground is the zero mode E = 0
+    against the bound -2.5e-13, and degeneracy pairing fails with residual
+    1.0."""
+    report = run_verification(matched_robin_interval(theta), n_levels=3)
     assert report.all_passed, [c.name for c in report.checks if not c.passed]

@@ -54,6 +54,25 @@ def test_is_unitary():
     assert not is_unitary(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, np.inf)])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_is_unitary_rejects_nonfinite_entries(where, bad):
+    """A NaN or infinite entry is never unitary, wherever it sits: each
+    residual of m^dag m - I must itself compare within the tolerance."""
+    m = su2_from_euler(0.4, 1.3)
+    assert is_unitary(m)
+    m[where] = bad
+    assert not is_unitary(m)
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (1, 1), (2, 3), (3, 3), (1, 2, 2), (4, 4)])
+def test_is_unitary_needs_2x2(shape):
+    m = np.zeros(shape, dtype=complex)
+    if len(shape) == 2 and shape[0] == shape[1]:
+        m = np.eye(shape[0], dtype=complex)  # unitary, but not 2x2
+    assert not is_unitary(m)
+
+
 def test_conjugate_eigenvalues(rng):
     for _ in range(50):
         w = random_unitary_2x2(rng)

@@ -31,10 +31,10 @@ from singular_susy import (
     witten_parity_search,
 )
 from singular_susy import classify, spectra
-from singular_susy.classify import _annihilates as annihilates
 from singular_susy.matkit import _phase_fixed
 
 from helpers import (
+    annihilates,
     apply,
     connection_residual,
     endpoint_data,
